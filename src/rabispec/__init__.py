@@ -3,7 +3,7 @@
 Submodules:
 
 - ``specfun``: orthogonal polynomials and displaced-Fock machinery
-- ``rabi``:    Hamiltonian construction, Jacobi eigensolver, parity labels
+- ``rabi``:    Hamiltonian construction, LAPACK eigensolves, parity labels
 - ``analytic``: closed-form frequency shifts, cat states, overlap oracle
 - ``spectro``: transition maps, hanger lineshape, least-squares fits
 - ``twotone``: driven three-level models and level reconstruction

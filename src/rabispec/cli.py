@@ -139,6 +139,17 @@ def _resolve_params(args) -> rabi.CircuitParams:
         raise UsageError(str(exc)) from exc
 
 
+def _nmax(text: str) -> int:
+    """argparse type of --nmax: a Fock truncation of at least one photon."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_grid_flags(sp, start, stop, points):
     sp.add_argument("--grid-start", type=float, default=start)
     sp.add_argument("--grid-stop", type=float, default=stop)
@@ -169,9 +180,14 @@ def _read_csv_input(path, expected_header):
     rows = []
     for ln in lines[1:]:
         try:
-            rows.append([float(v) for v in ln.split(",")])
+            row = [float(v) for v in ln.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad numeric row in {path}: {ln!r}") from exc
+        if len(row) != len(header):
+            raise UsageError(f"row in {path} needs {len(header)} values: {ln!r}")
+        if not all(math.isfinite(v) for v in row):
+            raise UsageError(f"non-finite value in {path}: {ln!r}")
+        rows.append(row)
     return rows
 
 
@@ -277,8 +293,11 @@ def cmd_twotone(args):
             args.grid_start = res - span
         if args.grid_stop is None:
             args.grid_stop = res + span
-    grid = _resolve_grid(args)
-    linemap = twotone.twotone_linemap(params, args.nmax, args.panel, grid, args.rabi_bc)
+        linemap = linemap.on_grid(_resolve_grid(args))
+    else:
+        linemap = twotone.twotone_linemap(
+            params, args.nmax, args.panel, _resolve_grid(args), args.rabi_bc
+        )
     header = ["omega_d_ghz", "branch_lo_ghz", "branch_hi_ghz"]
     rows = [
         [float(w), float(lo), float(hi)]
@@ -352,6 +371,13 @@ def cmd_fit_params(args):
     rows = _read_csv_input(
         args.input, ("epsilon_ghz", "level_from", "level_to", "freq_ghz")
     )
+    levels = 2 * (args.nmax + 1)
+    for row in rows:
+        if not all(v.is_integer() and 0 <= v < levels for v in row[1:3]):
+            raise UsageError(
+                f"level indices must be integers in [0, {levels}) at --nmax {args.nmax}, "
+                f"got row {','.join(map(_fmt, row))!r}"
+            )
     observed = [(eps, (int(k), int(l)), freq) for eps, k, l, freq in rows]
     init = rabi.CircuitParams(delta=args.init_delta, omega=args.init_omega, g=args.init_g)
     fitted, rms = spectro.fit_circuit_params(observed, init, n_max=args.nmax)
@@ -404,7 +430,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("shift-table", help="computed vs reference qubit frequencies")
-    sp.add_argument("--nmax", type=int, default=rabi.DEFAULT_N_MAX)
+    sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     _add_output_flags(sp, formats=("csv", "json"))
     sp.set_defaults(func=cmd_shift_table)
 
@@ -416,7 +442,7 @@ def build_parser() -> _Parser:
 
     sp = sub.add_parser("spectrum", help="transition map vs qubit bias")
     _add_param_flags(sp)
-    sp.add_argument("--nmax", type=int, default=rabi.DEFAULT_N_MAX)
+    sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     sp.add_argument(
         "--visible-only",
         action="store_true",
@@ -430,7 +456,7 @@ def build_parser() -> _Parser:
     _add_param_flags(sp)
     sp.add_argument("--panel", choices=tuple(twotone.PANEL_TRIPLES), required=True)
     sp.add_argument("--rabi-bc", type=float, required=True, help="drive coupling, GHz")
-    sp.add_argument("--nmax", type=int, default=rabi.DEFAULT_N_MAX)
+    sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     _add_grid_flags(sp, None, None, 201)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_twotone)
@@ -452,7 +478,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--init-delta", type=float, required=True)
     sp.add_argument("--init-omega", type=float, required=True)
     sp.add_argument("--init-g", type=float, required=True)
-    sp.add_argument("--nmax", type=int, default=24)
+    sp.add_argument("--nmax", type=_nmax, default=24)
     sp.add_argument("--residual-threshold", type=float, default=1e-3)
     _add_output_flags(sp, formats=("json",))
     sp.set_defaults(func=cmd_fit_params)

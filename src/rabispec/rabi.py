@@ -14,19 +14,19 @@ P = sx (-1)^(a^dag a), and each eigenstate carries parity +-1.  Level labels
 |i n> (i in {g, e}, n the real-photon number) are assigned by the parity
 recursion implemented in :func:`assign_labels`.
 
-Eigendecomposition uses cyclic Jacobi rotations on the dense symmetric
-matrix (round-robin pivot ordering, rotations within a round batched since
-their index pairs are disjoint).  At epsilon = 0 the solver runs on the two
-parity chains separately, which keeps the eigenvectors exact parity states.
+Eigendecomposition uses LAPACK: at epsilon = 0 each of the two parity
+chains is a real symmetric tridiagonal matrix, solved by
+``scipy.linalg.eigh_tridiagonal``, which keeps the eigenvectors exact parity
+states; at finite bias the dense matrix goes to ``np.linalg.eigh``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 
 from .errors import AmbiguousLabelError, ConvergenceError
 
@@ -129,92 +129,6 @@ def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.n
     return h
 
 
-@lru_cache(maxsize=None)
-def _round_robin_rounds(n: int):
-    """Round-robin pivot schedule: each sweep visits every index pair once.
-
-    Pairs within a round are disjoint, so their rotations commute and can be
-    applied in one batched update.
-    """
-    m = n if n % 2 == 0 else n + 1
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        ps, qs = [], []
-        for i in range(m // 2):
-            a, b = players[i], players[m - 1 - i]
-            if a < n and b < n:
-                ps.append(min(a, b))
-                qs.append(max(a, b))
-        rounds.append((np.array(ps), np.array(qs)))
-        players = [players[0], players[-1]] + players[1:-1]
-    return tuple(rounds)
-
-
-def jacobi_eigh(
-    matrix: np.ndarray,
-    max_sweeps: int = 100,
-    tol: float = 1e-12,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a real symmetric matrix by cyclic Jacobi.
-
-    Sweeps stop once the off-diagonal Frobenius norm drops below
-    ``tol * ||A||_F``.  Raises ConvergenceError after ``max_sweeps`` sweeps.
-    Returns eigenvalues ascending and eigenvectors as columns, with each
-    column's largest-magnitude component made positive for determinism.
-    """
-    a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    norm_f = float(np.linalg.norm(a))
-    if np.linalg.norm(a - a.T) > 1e-12 * max(norm_f, 1e-300):
-        raise ValueError("matrix is not symmetric to 1e-12 relative")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1 or norm_f == 0.0:
-        return _sorted_system(np.diag(a).copy(), v)
-
-    threshold = tol * norm_f
-    converged = False
-    for sweep in range(max_sweeps + 1):
-        # direct off-diagonal norm; the difference ||A||_F^2 - sum(diag^2)
-        # cancels catastrophically near convergence
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= threshold:
-            converged = True
-            break
-        if sweep == max_sweeps:
-            break
-        for p, q in _round_robin_rounds(n):
-            apq = a[p, q]
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.where(tau >= 0, 1.0, -1.0) / (np.abs(tau) + np.hypot(1.0, tau))
-            t = np.where(apq == 0.0, 0.0, t)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            rows_p, rows_q = a[p, :], a[q, :]
-            a[p, :] = c[:, None] * rows_p - s[:, None] * rows_q
-            a[q, :] = s[:, None] * rows_p + c[:, None] * rows_q
-            cols_p, cols_q = a[:, p], a[:, q]
-            a[:, p] = cols_p * c - cols_q * s
-            a[:, q] = cols_p * s + cols_q * c
-            a[p, q] = 0.0
-            a[q, p] = 0.0
-            vec_p, vec_q = v[:, p], v[:, q]
-            v[:, p] = vec_p * c - vec_q * s
-            v[:, q] = vec_p * s + vec_q * c
-    if not converged:
-        raise ConvergenceError(
-            f"Jacobi did not reach off-diagonal tolerance {tol:g} within "
-            f"{max_sweeps} sweeps (matrix dimension {n})"
-        )
-    return _sorted_system(np.diag(a).copy(), v)
-
-
 def _sorted_system(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(w, kind="stable")
     w = w[order]
@@ -225,14 +139,29 @@ def _sorted_system(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return w, v * signs
 
 
-def eigendecompose(matrix: np.ndarray, n_max: int | None = None, **kwargs) -> Spectrum:
-    """Decompose a symmetric matrix into a :class:`Spectrum`."""
-    w, v = jacobi_eigh(matrix, **kwargs)
+def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
+    """Decompose a real symmetric matrix into a :class:`Spectrum` (LAPACK).
+
+    Eigenvalues ascend; each eigenvector's largest-magnitude component is
+    made positive for determinism.
+    """
+    a = np.asarray(matrix, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix contains non-finite entries")
+    if np.linalg.norm(a - a.T) > 1e-12 * max(float(np.linalg.norm(a)), 1e-300):
+        raise ValueError("matrix is not symmetric to 1e-12 relative")
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigh failed on a {a.shape} matrix: {exc}") from exc
+    w, v = _sorted_system(w, v)
     return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
 
 
-def _parity_chain(params: CircuitParams, n_max: int, even: bool) -> np.ndarray:
-    """Dense symmetric matrix of one parity sector (tridiagonal chain).
+def _parity_chain(params: CircuitParams, n_max: int, even: bool):
+    """Diagonal and off-diagonal of one parity sector's tridiagonal chain.
 
     In the rotated (qubit-energy) basis the sector basis vector at chain
     coordinate k pairs qubit state g (k even) or e (k odd) with Fock state
@@ -243,10 +172,7 @@ def _parity_chain(params: CircuitParams, n_max: int, even: bool) -> np.ndarray:
     qubit_sign = np.where(k % 2 == 0, -1.0, 1.0)
     if not even:
         qubit_sign = -qubit_sign
-    h = np.diag(params.omega * k + 0.5 * params.delta * qubit_sign)
-    off = params.g * np.sqrt(k[1:].astype(float))
-    h += np.diag(off, 1) + np.diag(off, -1)
-    return h
+    return params.omega * k + 0.5 * params.delta * qubit_sign, params.g * np.sqrt(k[1:])
 
 
 def _assemble_sector_vectors(w_sector: np.ndarray, even: bool) -> np.ndarray:
@@ -262,27 +188,28 @@ def _assemble_sector_vectors(w_sector: np.ndarray, even: bool) -> np.ndarray:
     return full
 
 
-def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX, **kwargs) -> Spectrum:
+def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     """Spectrum of the circuit Hamiltonian at the given truncation.
 
-    At epsilon = 0 the two parity sectors are diagonalized separately, which
-    is faster and keeps forbidden transition matrix elements at the rounding
-    floor; otherwise the full dense matrix is used.
+    At epsilon = 0 the two parity chains are diagonalized separately as
+    tridiagonal matrices, which is faster and keeps forbidden transition
+    matrix elements at the rounding floor; otherwise the full dense matrix
+    is used.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if params.epsilon != 0.0:
-        return eigendecompose(build_hamiltonian(params, n_max), n_max=n_max, **kwargs)
-    w_even, v_even = jacobi_eigh(_parity_chain(params, n_max, even=True), **kwargs)
-    w_odd, v_odd = jacobi_eigh(_parity_chain(params, n_max, even=False), **kwargs)
-    w = np.concatenate([w_even, w_odd])
-    v = np.hstack(
-        [
-            _assemble_sector_vectors(v_even, even=True),
-            _assemble_sector_vectors(v_odd, even=False),
-        ]
+        return eigendecompose(build_hamiltonian(params, n_max), n_max=n_max)
+    sectors = []
+    for even in (True, False):
+        try:
+            w, v = eigh_tridiagonal(*_parity_chain(params, n_max, even))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigh_tridiagonal failed on a parity chain: {exc}") from exc
+        sectors.append((w, _assemble_sector_vectors(v, even)))
+    w, v = _sorted_system(
+        np.concatenate([w for w, _ in sectors]), np.hstack([v for _, v in sectors])
     )
-    w, v = _sorted_system(w, v)
     return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
 
 

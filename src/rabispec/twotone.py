@@ -17,7 +17,7 @@ shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -245,6 +245,12 @@ class TwoToneLineMap:
     omega_d: np.ndarray
     branch_lo: np.ndarray
     branch_hi: np.ndarray
+
+    def on_grid(self, omega_d_grid) -> TwoToneLineMap:
+        """The same panel's branches on another drive grid, without a new solve."""
+        grid = np.asarray(omega_d_grid, dtype=float)
+        lo, hi = avoided_crossing_branches(self.drive, grid)
+        return replace(self, omega_d=grid, branch_lo=lo, branch_hi=hi)
 
 
 def twotone_linemap(

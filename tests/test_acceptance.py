@@ -152,7 +152,8 @@ def test_criterion_6_eigensolver_quality(timed_table):
     for _ in range(20):
         h = rng.standard_normal((82, 82))
         h = h + h.T
-        w, v = rabi.jacobi_eigh(h)
+        spec = rabi.eigendecompose(h)
+        w, v = spec.eigenvalues, spec.eigenvectors
         rec = np.linalg.norm(v @ np.diag(w) @ v.T - h) / np.linalg.norm(h)
         worst_rec = max(worst_rec, float(rec))
     ok = worst_res <= 1e-9 and worst_orth <= 1e-9 and worst_rec < 1e-10

@@ -75,6 +75,56 @@ def test_usage_errors_exit_one(capsys):
         assert err.count("\n") == 1
 
 
+def test_nmax_below_one_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "transitions.csv"
+    data.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n")
+    for argv in (
+        ["shift-table"],
+        ["spectrum", "--set", "A"],
+        ["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02"],
+        ["fit-params", "--input", str(data), "--init-delta", "1", "--init-omega", "6",
+         "--init-g", "1"],
+    ):
+        code, out, err = run_cli(argv + ["--nmax", "0"], capsys)
+        assert code == 1, argv
+        assert out == ""
+        assert err == "error: usage: argument --nmax: must be >= 1, got 0\n"
+
+
+def test_fit_inputs_reject_malformed_rows(tmp_path, capsys):
+    transitions = tmp_path / "transitions.csv"
+    transitions.write_text(
+        "epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n0.3,0,1,nan\n"
+    )
+    s21 = tmp_path / "s21.csv"
+    s21.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0,0.9\n0.0,6.1,inf\n")
+    short = tmp_path / "short.csv"
+    short.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0,0.9\n0.0,6.1\n")
+    for argv, message, row in (
+        (["fit-params", "--input", str(transitions), "--init-delta", "1",
+          "--init-omega", "6", "--init-g", "1"], "non-finite value", "0.3,0,1,nan"),
+        (["fit-s21", "--input", str(s21)], "non-finite value", "0.0,6.1,inf"),
+        (["fit-s21", "--input", str(short)], "row in", "0.0,6.1"),
+    ):
+        code, _, err = run_cli(argv, capsys)
+        assert code == 1, argv
+        assert err.startswith(f"error: usage: {message}")
+        assert err.rstrip().endswith(repr(row))
+
+
+def test_fit_params_rejects_level_index_out_of_range(tmp_path, capsys):
+    data = tmp_path / "transitions.csv"
+    data.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n0.3,99,0,1.5\n")
+    code, _, err = run_cli(
+        ["fit-params", "--input", str(data), "--init-delta", "1", "--init-omega", "6",
+         "--init-g", "1", "--nmax", "8"],
+        capsys,
+    )
+    assert code == 1
+    assert err.startswith("error: usage: level indices must be integers in [0, 18)")
+    assert "'0.3,99,0,1.5'" in err
+
+
 def test_computation_errors_exit_two(capsys):
     # labels need delta < omega, so the twotone command cannot run here
     code, _, err = run_cli(

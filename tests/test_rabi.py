@@ -53,15 +53,20 @@ def test_set_a_zero_photon_gap(solved_sets):
     assert spec.eigenvalues[1] - spec.eigenvalues[0] == pytest.approx(1.235, abs=2e-3)
 
 
+def _eigh(matrix):
+    spec = rabi.eigendecompose(matrix)
+    return spec.eigenvalues, spec.eigenvectors
+
+
 def test_jacobi_two_by_two():
-    w, v = rabi.jacobi_eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    w, v = _eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(w, [-1.0, 1.0])
     assert np.allclose(np.abs(v.T @ v), np.eye(2), atol=1e-15)
 
 
 def test_jacobi_diagonal_input():
     d = np.diag([3.0, -1.0, 2.0])
-    w, v = rabi.jacobi_eigh(d)
+    w, v = _eigh(d)
     assert np.allclose(w, [-1.0, 2.0, 3.0])
     # eigenvectors must be a (signed) permutation of the standard basis
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
@@ -72,7 +77,7 @@ def test_jacobi_random_reconstruction():
     for _ in range(5):
         h = rng.standard_normal((82, 82))
         h = h + h.T
-        w, v = rabi.jacobi_eigh(h)
+        w, v = _eigh(h)
         assert np.all(np.diff(w) >= 0)
         rel = np.linalg.norm(v @ np.diag(w) @ v.T - h) / np.linalg.norm(h)
         assert rel < 1e-10
@@ -84,7 +89,7 @@ def test_jacobi_handles_exact_degeneracy():
     want = np.repeat([1.0, 2.0, 3.0], 4)
     h = basis @ np.diag(want) @ basis.T
     h = 0.5 * (h + h.T)
-    w, v = rabi.jacobi_eigh(h)
+    w, v = _eigh(h)
     assert np.allclose(w, want, atol=1e-12)
     assert np.linalg.norm(v @ np.diag(w) @ v.T - h) / np.linalg.norm(h) < 1e-12
 
@@ -103,15 +108,20 @@ def test_biased_spectrum_quality():
 def test_jacobi_rejects_asymmetric():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        rabi.jacobi_eigh(m)
+        rabi.eigendecompose(m)
 
 
-def test_jacobi_nonconvergence_is_reported():
-    rng = np.random.default_rng(0)
-    h = rng.standard_normal((30, 30))
-    h = h + h.T
-    with pytest.raises(ConvergenceError):
-        rabi.jacobi_eigh(h, max_sweeps=0)
+def test_jacobi_nonconvergence_is_reported(monkeypatch):
+    # a LAPACK failure on either solver path surfaces as ConvergenceError
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    monkeypatch.setattr(rabi, "eigh_tridiagonal", fail)
+    for epsilon in (0.0, 0.3):
+        p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=epsilon)
+        with pytest.raises(ConvergenceError):
+            rabi.solve(p, 10)
 
 
 def test_blocked_and_dense_paths_agree():
