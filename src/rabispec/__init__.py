@@ -5,6 +5,7 @@ Submodules:
 - ``specfun``: orthogonal polynomials and displaced-Fock machinery
 - ``rabi``:    Hamiltonian construction, LAPACK eigensolves, parity labels
 - ``analytic``: closed-form frequency shifts, cat states, overlap oracle
+- ``levmar``:  Levenberg-Marquardt least squares for the fits
 - ``spectro``: transition maps, hanger lineshape, least-squares fits
 - ``twotone``: driven three-level models and level reconstruction
 - ``refdata``: bundled reference parameter sets A-I

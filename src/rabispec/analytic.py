@@ -25,6 +25,13 @@ from .errors import ConvergenceError, TruncationLeakageError
 
 QUADRATURE_POINTS = 4001
 QUADRATURE_MARGIN = 8.0
+# largest norm a cat state may lose to the Fock truncation
+CAT_MAX_LEAKAGE = 1e-6
+
+
+def _displaced_overlap(n: int, beta):
+    """exp(-2 beta^2) L_n(4 beta^2) for scalar or array beta, unvalidated."""
+    return np.exp(-2.0 * beta * beta) * specfun.laguerre(n, 4.0 * beta * beta)
 
 
 def delta_n_closed_form(delta: float, beta: float, n: int) -> float:
@@ -33,7 +40,7 @@ def delta_n_closed_form(delta: float, beta: float, n: int) -> float:
         raise ValueError(f"delta must be > 0, got {delta}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
-    return delta * math.exp(-2.0 * beta * beta) * float(specfun.laguerre(n, 4.0 * beta * beta))
+    return delta * float(_displaced_overlap(n, beta))
 
 
 def delta_2_zeros() -> tuple[float, float]:
@@ -84,7 +91,7 @@ def overlap_integral(n: int, beta: float, num_points: int = QUADRATURE_POINTS) -
             f"norms {norm_left:.12f}, {norm_right:.12f}"
         )
     value = float(np.trapezoid(left * right, x))
-    closed = math.exp(-2.0 * beta * beta) * float(specfun.laguerre(n, 4.0 * beta * beta))
+    closed = float(_displaced_overlap(n, beta))
     return OverlapResult(n=n, beta=beta, value_quadrature=value, value_closed_form=closed)
 
 
@@ -106,12 +113,11 @@ def cat_state(
     params: rabi.CircuitParams,
     label: tuple[str, int],
     n_max: int = rabi.DEFAULT_N_MAX,
-    max_leakage: float = 1e-6,
 ) -> CatState:
     """Construct the displaced-Fock cat approximation to eigenstate |i n>.
 
     Valid at epsilon = 0 only.  Raises TruncationLeakageError when the
-    truncated basis loses more than ``max_leakage`` of the norm.
+    truncated basis loses more than CAT_MAX_LEAKAGE of the norm.
     """
     kind, n = label
     if kind not in ("g", "e"):
@@ -128,7 +134,7 @@ def cat_state(
     amplitudes = np.concatenate([upper, lower]) / math.sqrt(2.0)
     norm_sq = float(amplitudes @ amplitudes)
     leakage = 1.0 - norm_sq
-    if leakage > max_leakage:
+    if leakage > CAT_MAX_LEAKAGE:
         raise TruncationLeakageError(
             f"cat state ({kind}, {n}) at beta={beta:.4f} loses {leakage:.3e} "
             f"of its norm at n_max={n_max}"
@@ -163,9 +169,7 @@ def normalized_shift_curves(beta_grid: np.ndarray, max_n: int = 2) -> np.ndarray
     beta = np.asarray(beta_grid, dtype=float)
     if beta.ndim != 1 or beta.size == 0:
         raise ValueError("beta grid must be a non-empty 1-d array")
-    x = 4.0 * beta * beta
-    envelope = np.exp(-2.0 * beta * beta)
-    cols = [beta] + [envelope * specfun.laguerre(n, x) for n in range(max_n + 1)]
+    cols = [beta] + [_displaced_overlap(n, beta) for n in range(max_n + 1)]
     return np.column_stack(cols)
 
 

@@ -139,15 +139,46 @@ def _resolve_params(args) -> rabi.CircuitParams:
         raise UsageError(str(exc)) from exc
 
 
-def _nmax(text: str) -> int:
-    """argparse type of --nmax: a Fock truncation of at least one photon."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], unbounded above without high."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be <= {high}, got {value}")
+        return value
+
+    return parse
+
+
+def _finite_float(positive: bool):
+    """argparse type: a finite float, > 0 when positive and >= 0 otherwise."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+            relation = ">" if positive else ">="
+            raise argparse.ArgumentTypeError(f"must be finite and {relation} 0, got {text}")
+        return value
+
+    return parse
+
+
+# flag types: a Fock truncation, a photon number, a background degree,
+# and finite floats >= 0 and > 0
+_nmax = _int_in(1)
+_photons = _int_in(0)
+_degree = _int_in(0, spectro.MAX_BACKGROUND_DEGREE)
+_nonnegative = _finite_float(positive=False)
+_positive = _finite_float(positive=True)
 
 
 def _add_grid_flags(sp, start, stop, points):
@@ -378,6 +409,13 @@ def cmd_fit_params(args):
                 f"level indices must be integers in [0, {levels}) at --nmax {args.nmax}, "
                 f"got row {','.join(map(_fmt, row))!r}"
             )
+    transitions = {(k, l) for _, k, l, _ in rows}
+    if len(rows) < spectro.MIN_OBSERVATIONS or len(transitions) < 2:
+        raise UsageError(
+            f"input file {args.input} has {len(rows)} observations of "
+            f"{len(transitions)} transitions; fit-params needs at least "
+            f"{spectro.MIN_OBSERVATIONS} observations of 2 transitions"
+        )
     observed = [(eps, (int(k), int(l)), freq) for eps, k, l, freq in rows]
     init = rabi.CircuitParams(delta=args.init_delta, omega=args.init_omega, g=args.init_g)
     fitted, rms = spectro.fit_circuit_params(observed, init, n_max=args.nmax)
@@ -435,7 +473,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_shift_table)
 
     sp = sub.add_parser("shift-curves", help="normalized frequency curves and points")
-    sp.add_argument("--max-n", type=int, default=2)
+    sp.add_argument("--max-n", type=_photons, default=2)
     _add_grid_flags(sp, 0.0, 1.6, 81)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_shift_curves)
@@ -455,29 +493,29 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("twotone", help="dressed branch map vs drive frequency")
     _add_param_flags(sp)
     sp.add_argument("--panel", choices=tuple(twotone.PANEL_TRIPLES), required=True)
-    sp.add_argument("--rabi-bc", type=float, required=True, help="drive coupling, GHz")
+    sp.add_argument("--rabi-bc", type=_nonnegative, required=True, help="drive coupling, GHz")
     sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     _add_grid_flags(sp, None, None, 201)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_twotone)
 
     sp = sub.add_parser("overlap", help="displaced-Fock overlap integral vs coupling")
-    sp.add_argument("--n", type=int, default=2, help="photon number")
+    sp.add_argument("--n", type=_photons, default=2, help="photon number")
     _add_grid_flags(sp, 0.0, 1.5, 31)
     _add_output_flags(sp)
     sp.set_defaults(func=cmd_overlap)
 
     sp = sub.add_parser("fit-s21", help="fit notch lineshapes in an |S21| CSV")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--degree", type=int, default=3, help="background polynomial degree")
+    sp.add_argument("--degree", type=_degree, default=3, help="background polynomial degree")
     _add_output_flags(sp, formats=("json",))
     sp.set_defaults(func=cmd_fit_s21)
 
     sp = sub.add_parser("fit-params", help="fit circuit parameters to transitions")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--init-delta", type=float, required=True)
-    sp.add_argument("--init-omega", type=float, required=True)
-    sp.add_argument("--init-g", type=float, required=True)
+    sp.add_argument("--init-delta", type=_nonnegative, required=True)
+    sp.add_argument("--init-omega", type=_positive, required=True)
+    sp.add_argument("--init-g", type=_nonnegative, required=True)
     sp.add_argument("--nmax", type=_nmax, default=24)
     sp.add_argument("--residual-threshold", type=float, default=1e-3)
     _add_output_flags(sp, formats=("json",))

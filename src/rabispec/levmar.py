@@ -28,10 +28,10 @@ class FitResult:
     message: str
 
 
-def _numerical_jacobian(fun, x, r0_size, step=FD_STEP):
+def _numerical_jacobian(fun, x, r0_size):
     jac = np.empty((r0_size, x.size))
     for j in range(x.size):
-        h = step * max(abs(x[j]), 1.0)
+        h = FD_STEP * max(abs(x[j]), 1.0)
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -40,21 +40,15 @@ def _numerical_jacobian(fun, x, r0_size, step=FD_STEP):
     return jac
 
 
-def least_squares_lm(
-    fun,
-    x0,
-    max_iterations: int = MAX_ITERATIONS,
-    rel_cost_tol: float = REL_COST_TOL,
-    fd_step: float = FD_STEP,
-) -> FitResult:
+def least_squares_lm(fun, x0) -> FitResult:
     """Minimize sum(fun(x)^2) starting from x0.
 
     ``fun`` maps a parameter vector to a residual vector.  Convergence is
     declared when an accepted step changes the cost by less than
-    ``rel_cost_tol`` relative, when the gradient vanishes, or when damping
-    can no longer produce a downhill step (a stall at a local minimum,
-    reported in the result message rather than raised).  Exceeding
-    ``max_iterations`` Jacobian builds raises ConvergenceError.
+    REL_COST_TOL relative, when the gradient vanishes, or when damping can
+    no longer produce a downhill step (a stall at a local minimum, reported
+    in the result message rather than raised).  Exceeding MAX_ITERATIONS
+    Jacobian builds raises ConvergenceError.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
@@ -62,8 +56,8 @@ def least_squares_lm(
     r = np.asarray(fun(x), dtype=float)
     cost = float(r @ r)
     lam = 1e-3
-    for iteration in range(1, max_iterations + 1):
-        jac = _numerical_jacobian(fun, x, r.size, fd_step)
+    for iteration in range(1, MAX_ITERATIONS + 1):
+        jac = _numerical_jacobian(fun, x, r.size)
         grad = jac.T @ r
         normal = jac.T @ jac
         if np.max(np.abs(grad)) < 1e-14 * max(cost, 1.0):
@@ -90,10 +84,10 @@ def least_squares_lm(
         improvement = cost - cost_trial
         x, r, cost = x_trial, r_trial, cost_trial
         lam = max(lam / 3.0, 1e-12)
-        if improvement <= rel_cost_tol * max(cost, 1e-300) or cost == 0.0:
+        if improvement <= REL_COST_TOL * max(cost, 1e-300) or cost == 0.0:
             return FitResult(x, cost, _rms(cost, r.size), iteration, "converged")
     raise ConvergenceError(
-        f"least-squares fit did not converge within {max_iterations} iterations "
+        f"least-squares fit did not converge within {MAX_ITERATIONS} iterations "
         f"(cost {cost:.6e})"
     )
 

@@ -31,6 +31,10 @@ from scipy.linalg import eigh_tridiagonal
 from .errors import AmbiguousLabelError, ConvergenceError
 
 DEFAULT_N_MAX = 40
+# assign_labels: the winning quadrature element must exceed this floor and
+# this multiple of the losing one, or the label is ambiguous.
+LABEL_ELEMENT_FLOOR = 1e-6
+LABEL_ELEMENT_RATIO = 10.0
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -264,19 +268,13 @@ def transition_matrix_element(spec: Spectrum, k: int, l: int) -> float:
     )
 
 
-def assign_labels(
-    spec: Spectrum,
-    params: CircuitParams,
-    max_photon: int = 2,
-    element_floor: float = 1e-6,
-    element_ratio: float = 10.0,
-) -> LabeledLevels:
+def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) -> LabeledLevels:
     """Label eigenstates |i n> by the parity recursion.
 
     The two lowest states are |g0> and |e0>.  Among the (2n+2)-th and
     (2n+3)-th excited states, the one with the larger quadrature matrix
     element to |g n> is |g n+1> and the other |e n+1>; the winner must
-    exceed the loser by ``element_ratio`` and exceed ``element_floor``,
+    exceed the loser by LABEL_ELEMENT_RATIO and exceed LABEL_ELEMENT_FLOOR,
     otherwise the assignment is ambiguous and an error is raised.
 
     Requires epsilon = 0 and 0 < delta < omega.
@@ -299,8 +297,8 @@ def assign_labels(
         cand_a, cand_b = 2 * n + 2, 2 * n + 3
         elem_a = transition_matrix_element(spec, cand_a, indices[("g", n)])
         elem_b = transition_matrix_element(spec, cand_b, indices[("g", n)])
-        a_wins = elem_a > element_floor and elem_a > element_ratio * elem_b
-        b_wins = elem_b > element_floor and elem_b > element_ratio * elem_a
+        a_wins = elem_a > LABEL_ELEMENT_FLOOR and elem_a > LABEL_ELEMENT_RATIO * elem_b
+        b_wins = elem_b > LABEL_ELEMENT_FLOOR and elem_b > LABEL_ELEMENT_RATIO * elem_a
         if a_wins == b_wins:
             raise AmbiguousLabelError(n, elem_a, elem_b)
         g_next, e_next = (cand_a, cand_b) if a_wins else (cand_b, cand_a)

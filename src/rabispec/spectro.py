@@ -27,8 +27,11 @@ from .levmar import least_squares_lm
 # magnetic flux quantum h/2e in Wb
 FLUX_QUANTUM_WB = 2.067833848e-15
 
-DEFAULT_TRANSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
-DEFAULT_ELEMENT_FLOOR = 1e-3
+MAX_BACKGROUND_DEGREE = 8
+MIN_OBSERVATIONS = 6
+TRANSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
+# quadrature element at or below which a transition is invisible
+ELEMENT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,8 +69,8 @@ class BackgroundPoly:
     center: float = 0.0
 
     def __post_init__(self):
-        if len(self.coefficients) == 0 or len(self.coefficients) - 1 > 8:
-            raise ValueError("background degree must be between 0 and 8")
+        if len(self.coefficients) == 0 or len(self.coefficients) - 1 > MAX_BACKGROUND_DEGREE:
+            raise ValueError(f"background degree must be between 0 and {MAX_BACKGROUND_DEGREE}")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
     @property
@@ -109,32 +112,27 @@ class TransitionMap:
 
     ``frequencies[(k, l)]`` holds E_l - E_k at each grid point regardless of
     visibility; ``curves`` masks (with NaN) every point whose matrix element
-    is at or below ``element_floor``, which is what a transmission
-    measurement would actually show.
+    is at or below ELEMENT_FLOOR, which is what a transmission measurement
+    would actually show.
     """
 
     epsilon_grid: np.ndarray
     frequencies: dict = field(default_factory=dict)
     elements: dict = field(default_factory=dict)
-    element_floor: float = DEFAULT_ELEMENT_FLOOR
 
     @property
     def curves(self) -> dict:
         masked = {}
         for pair, freq in self.frequencies.items():
-            visible = self.elements[pair] > self.element_floor
+            visible = self.elements[pair] > ELEMENT_FLOOR
             masked[pair] = np.where(visible, freq, np.nan)
         return masked
 
 
 def transition_map(
-    params_at_eps,
-    epsilon_grid,
-    n_max: int = rabi.DEFAULT_N_MAX,
-    transitions=DEFAULT_TRANSITIONS,
-    element_floor: float = DEFAULT_ELEMENT_FLOOR,
+    params_at_eps, epsilon_grid, n_max: int = rabi.DEFAULT_N_MAX
 ) -> TransitionMap:
-    """Diagonalize along a bias grid and collect transition frequencies.
+    """Diagonalize along a bias grid and collect the TRANSITIONS frequencies.
 
     ``params_at_eps`` maps a bias value (GHz) to CircuitParams; typically
     only epsilon varies.  States are ordinal (labels |i n> are not defined
@@ -143,16 +141,14 @@ def transition_map(
     grid = np.asarray(epsilon_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("epsilon grid must be a non-empty 1-d array")
-    freqs = {pair: np.empty(grid.size) for pair in transitions}
-    elems = {pair: np.empty(grid.size) for pair in transitions}
+    freqs = {pair: np.empty(grid.size) for pair in TRANSITIONS}
+    elems = {pair: np.empty(grid.size) for pair in TRANSITIONS}
     for i, eps in enumerate(grid):
         spec = rabi.solve(params_at_eps(float(eps)), n_max)
-        for k, l in transitions:
+        for k, l in TRANSITIONS:
             freqs[(k, l)][i] = spec.eigenvalues[l] - spec.eigenvalues[k]
             elems[(k, l)][i] = rabi.transition_matrix_element(spec, k, l)
-    return TransitionMap(
-        epsilon_grid=grid, frequencies=freqs, elements=elems, element_floor=element_floor
-    )
+    return TransitionMap(epsilon_grid=grid, frequencies=freqs, elements=elems)
 
 
 def s21(params: LineshapeParams, omega_p):
@@ -247,8 +243,8 @@ def fit_circuit_params(
     scale means the observations are inconsistent with any parameter set.
     """
     rows = [(float(eps), (int(pair[0]), int(pair[1])), float(freq)) for eps, pair, freq in observed]
-    if len(rows) < 6:
-        raise ValueError(f"need at least 6 observations, got {len(rows)}")
+    if len(rows) < MIN_OBSERVATIONS:
+        raise ValueError(f"need at least {MIN_OBSERVATIONS} observations, got {len(rows)}")
     if len({pair for _, pair, _ in rows}) < 2:
         raise ValueError("observations must span at least 2 distinct transitions")
     scale = np.array([max(init.delta, 0.1), init.omega, max(init.g, 0.1)])

@@ -134,36 +134,15 @@ def classify_slope(transition_kind: str) -> int:
     return slopes[transition_kind]
 
 
-def minimum_branch_gap(tld: ThreeLevelDrive, span: float | None = None) -> tuple[float, float]:
-    """Scan-and-refine minimum of the branch splitting over drive frequency.
+def minimum_branch_gap(tld: ThreeLevelDrive) -> tuple[float, float]:
+    """Minimum branch splitting over drive frequency: (gap, omega_d at it).
 
-    Returns (gap, omega_d at the minimum).  The splitting is unimodal in
-    the drive frequency, so a coarse scan followed by ternary refinement
-    converges to machine precision.
+    The splitting 2 sqrt(detuning^2/4 + Omega^2) is smallest where the
+    detuning vanishes, at the drive resonance, where it equals 2 Omega_bc.
     """
     res = tld.drive_resonance
-    if span is None:
-        span = max(50.0 * tld.rabi_bc, 0.1 * max(res, 1.0), 1e-6)
-    grid = np.linspace(res - span, res + span, 257)
-    lo, hi = avoided_crossing_branches(tld, grid)
-    gaps = hi - lo
-    i = int(np.argmin(gaps))
-    left = grid[max(i - 1, 0)]
-    right = grid[min(i + 1, grid.size - 1)]
-    for _ in range(200):
-        third = (right - left) / 3.0
-        m1, m2 = left + third, right - third
-        g1 = np.subtract(*avoided_crossing_branches(tld, m1)[::-1])
-        g2 = np.subtract(*avoided_crossing_branches(tld, m2)[::-1])
-        if g1 <= g2:
-            right = m2
-        else:
-            left = m1
-        if right - left < 1e-15 * max(abs(res), 1.0):
-            break
-    best = 0.5 * (left + right)
-    lo, hi = avoided_crossing_branches(tld, best)
-    return float(hi - lo), float(best)
+    lo, hi = avoided_crossing_branches(tld, res)
+    return float(hi - lo), res
 
 
 @dataclass(frozen=True)

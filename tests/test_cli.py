@@ -59,19 +59,29 @@ def test_byte_identical_reruns(capsys):
     assert out1 == out2
 
 
-def test_usage_errors_exit_one(capsys):
-    for argv in (
-        ["bogus-command"],
-        ["spectrum", "--set", "Z"],
-        ["spectrum"],  # no parameters given
-        ["overlap", "--grid-points", "1"],
-        ["fit-params", "--input", "/nonexistent.csv", "--init-delta", "1",
-         "--init-omega", "6", "--init-g", "1"],
-        ["shift-table", "--format", "svg"],  # table has no plot form
+def test_usage_errors_exit_one(tmp_path, capsys):
+    few = tmp_path / "few.csv"
+    few.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n0.3,0,2,1.5\n")
+    fit_params = ["fit-params", "--init-omega", "6", "--init-g", "1"]
+    for argv, named in (
+        (["bogus-command"], "bogus-command"),
+        (["spectrum", "--set", "Z"], "--set"),
+        (["spectrum"], "--set"),  # no parameters given
+        (["overlap", "--grid-points", "1"], "grid"),
+        (fit_params + ["--input", "/nonexistent.csv", "--init-delta", "1"], "/nonexistent.csv"),
+        (["shift-table", "--format", "svg"], "--format"),  # table has no plot form
+        (["fit-s21", "--input", "/nonexistent.csv", "--degree", "-1"], "--degree"),
+        (["fit-s21", "--input", "/nonexistent.csv", "--degree", "9"], "--degree"),
+        (["shift-curves", "--max-n", "-1"], "--max-n"),
+        (["overlap", "--n", "-1"], "--n"),
+        (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "-0.01"], "--rabi-bc"),
+        (fit_params + ["--input", str(few), "--init-delta", "-1"], "--init-delta"),
+        (fit_params + ["--input", str(few), "--init-delta", "1"], str(few)),
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert err.startswith("error: usage:")
+        assert named in err, argv
         assert err.count("\n") == 1
 
 

@@ -58,13 +58,13 @@ def _eigh(matrix):
     return spec.eigenvalues, spec.eigenvectors
 
 
-def test_jacobi_two_by_two():
+def test_eigendecompose_two_by_two():
     w, v = _eigh(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert np.allclose(w, [-1.0, 1.0])
     assert np.allclose(np.abs(v.T @ v), np.eye(2), atol=1e-15)
 
 
-def test_jacobi_diagonal_input():
+def test_eigendecompose_diagonal_input():
     d = np.diag([3.0, -1.0, 2.0])
     w, v = _eigh(d)
     assert np.allclose(w, [-1.0, 2.0, 3.0])
@@ -72,7 +72,7 @@ def test_jacobi_diagonal_input():
     assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
 
-def test_jacobi_random_reconstruction():
+def test_eigendecompose_random_reconstruction():
     rng = np.random.default_rng(11)
     for _ in range(5):
         h = rng.standard_normal((82, 82))
@@ -83,7 +83,7 @@ def test_jacobi_random_reconstruction():
         assert rel < 1e-10
 
 
-def test_jacobi_handles_exact_degeneracy():
+def test_eigendecompose_handles_exact_degeneracy():
     rng = np.random.default_rng(21)
     basis, _ = np.linalg.qr(rng.standard_normal((12, 12)))
     want = np.repeat([1.0, 2.0, 3.0], 4)
@@ -105,13 +105,13 @@ def test_biased_spectrum_quality():
     assert np.max(np.abs(v.T @ v - np.eye(spec.dim))) <= 1e-9
 
 
-def test_jacobi_rejects_asymmetric():
+def test_eigendecompose_rejects_asymmetric():
     m = np.array([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         rabi.eigendecompose(m)
 
 
-def test_jacobi_nonconvergence_is_reported(monkeypatch):
+def test_lapack_failure_is_convergence_error(monkeypatch):
     # a LAPACK failure on either solver path surfaces as ConvergenceError
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

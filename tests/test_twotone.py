@@ -110,7 +110,7 @@ def test_asymptotic_slope_matches_classification(ordering):
     assert diagonal == pytest.approx(want, abs=1e-3)
 
 
-def test_minimum_gap_scan_refine():
+def test_minimum_gap_closed_form():
     rng = np.random.default_rng(5)
     for ordering in twotone.ORDERINGS:
         for _ in range(5):
@@ -127,6 +127,9 @@ def test_minimum_gap_scan_refine():
             gap, at = twotone.minimum_branch_gap(tld)
             assert abs(gap - 2.0 * tld.rabi_bc) < 1e-9
             assert at == pytest.approx(tld.drive_resonance, abs=1e-6)
+            grid = at + np.linspace(-50.0, 50.0, 201) * tld.rabi_bc
+            lo, hi = twotone.avoided_crossing_branches(tld, grid)
+            assert np.all(hi - lo >= gap)
 
 
 def test_five_frequencies_validation():
