@@ -172,18 +172,3 @@ def normalized_shift_curves(beta_grid: np.ndarray, max_n: int = 2) -> np.ndarray
     cols = [beta] + [_displaced_overlap(n, beta) for n in range(max_n + 1)]
     return np.column_stack(cols)
 
-
-def delta_n_numeric_vs_closed(
-    params: rabi.CircuitParams,
-    n_max: int = rabi.DEFAULT_N_MAX,
-    n: int = 0,
-) -> tuple[float, float]:
-    """Pair the exact numeric qubit frequency with its closed form.
-
-    The two differ visibly once delta/omega is no longer small.
-    """
-    spec = rabi.solve(params, n_max)
-    labels = rabi.assign_labels(spec, params, max_photon=max(n, 1))
-    numeric = rabi.photon_number_qubit_frequency(labels, n)
-    closed = delta_n_closed_form(params.delta, params.beta, n)
-    return numeric, closed

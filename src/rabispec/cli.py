@@ -21,6 +21,9 @@ from . import analytic, rabi, refdata, spectro, svgplot, twotone
 GHZ_FMT = "%.4f"
 FLOAT_FMT = "%.10g"
 SET_IDS = tuple("ABCDEFGHI")
+# largest --grid-points; np.linspace allocates the whole grid before any
+# command looks at it
+MAX_GRID_POINTS = 10**5
 
 
 class UsageError(Exception):
@@ -79,17 +82,14 @@ def _write(text: str, path: str | None):
 
 
 def _render_table(args, command, header, rows, fmt=FLOAT_FMT, plot=None):
+    """Write a table as ``--format`` asks; argparse offers svg only with a plot."""
     if args.format == "csv":
         _write(_table_csv(header, rows, fmt), args.out)
     elif args.format == "json":
         _write(_table_json(command, header, rows, fmt), args.out)
-    elif args.format == "svg":
-        if plot is None:
-            raise UsageError(f"command {command} has no plot form; use csv or json")
+    else:
         csv_text = _table_csv(header, rows, fmt)
         _write(_plot_svg(plot, header, rows, csv_text), args.out)
-    else:
-        raise UsageError(f"unknown format {args.format!r}")
 
 
 def _plot_svg(plot, header, rows, csv_text) -> str:
@@ -156,42 +156,45 @@ def _int_in(low: int, high: int | None = None):
     return parse
 
 
-def _finite_float(positive: bool):
-    """argparse type: a finite float, > 0 when positive and >= 0 otherwise."""
+def _finite_float(relation: str | None = None):
+    """argparse type: a finite float, also ``relation`` 0 ('>' or '>=') when given."""
 
     def parse(text: str) -> float:
         try:
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-        if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
-            relation = ">" if positive else ">="
-            raise argparse.ArgumentTypeError(f"must be finite and {relation} 0, got {text}")
+        in_range = relation is None or (value > 0 if relation == ">" else value >= 0)
+        if not (math.isfinite(value) and in_range):
+            bound = f" and {relation} 0" if relation else ""
+            raise argparse.ArgumentTypeError(f"must be finite{bound}, got {text}")
         return value
 
     return parse
 
 
-# flag types: a Fock truncation, a photon number, a background degree,
-# and finite floats >= 0 and > 0
+# flag types: a Fock truncation, a photon number, a background degree, a
+# grid size, and finite floats of any sign, >= 0 and > 0
 _nmax = _int_in(1)
 _photons = _int_in(0)
 _degree = _int_in(0, spectro.MAX_BACKGROUND_DEGREE)
-_nonnegative = _finite_float(positive=False)
-_positive = _finite_float(positive=True)
+_grid_points = _int_in(2, MAX_GRID_POINTS)
+_finite = _finite_float()
+_nonnegative = _finite_float(">=")
+_positive = _finite_float(">")
 
 
 def _add_grid_flags(sp, start, stop, points):
-    sp.add_argument("--grid-start", type=float, default=start)
-    sp.add_argument("--grid-stop", type=float, default=stop)
-    sp.add_argument("--grid-points", type=int, default=points)
+    sp.add_argument("--grid-start", type=_finite, default=start)
+    sp.add_argument("--grid-stop", type=_finite, default=stop)
+    sp.add_argument("--grid-points", type=_grid_points, default=points)
 
 
 def _resolve_grid(args) -> np.ndarray:
-    if args.grid_points < 2:
-        raise UsageError(f"grid needs at least 2 points, got {args.grid_points}")
     if not args.grid_start < args.grid_stop:
         raise UsageError("grid start must be below grid stop")
+    if not math.isfinite(args.grid_stop - args.grid_start):
+        raise UsageError("--grid-stop minus --grid-start overflows a float")
     return np.linspace(args.grid_start, args.grid_stop, args.grid_points)
 
 
@@ -254,7 +257,14 @@ def cmd_shift_table(args):
 def cmd_shift_curves(args):
     """Closed-form delta_n/delta curves plus the measured reference points."""
     grid = _resolve_grid(args)
-    curves = analytic.normalized_shift_curves(grid, args.max_n)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            curves = analytic.normalized_shift_curves(grid, args.max_n)
+    except FloatingPointError as exc:
+        raise UsageError(
+            f"delta_n/delta up to --max-n {args.max_n} overflows on the beta grid "
+            f"[{args.grid_start}, {args.grid_stop}]; narrow --grid-start/--grid-stop"
+        ) from exc
     header = ["kind", "set", "beta"] + [f"d{n}_over_delta" for n in range(args.max_n + 1)]
     rows = [["curve", ""] + list(map(float, row)) for row in curves]
     points = []
@@ -283,13 +293,7 @@ def cmd_spectrum(args):
     """Transition frequencies and quadrature elements vs qubit bias."""
     params = _resolve_params(args)
     grid = _resolve_grid(args)
-
-    def at_eps(eps):
-        return rabi.CircuitParams(
-            delta=params.delta, omega=params.omega, g=params.g, epsilon=eps
-        )
-
-    tmap = spectro.transition_map(at_eps, grid, n_max=args.nmax)
+    tmap = spectro.transition_map(params, grid, n_max=args.nmax)
     pairs = sorted(tmap.frequencies)
     header = ["epsilon_ghz"]
     for k, l in pairs:
@@ -517,7 +521,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--init-omega", type=_positive, required=True)
     sp.add_argument("--init-g", type=_nonnegative, required=True)
     sp.add_argument("--nmax", type=_nmax, default=24)
-    sp.add_argument("--residual-threshold", type=float, default=1e-3)
+    sp.add_argument("--residual-threshold", type=_nonnegative, default=1e-3)
     _add_output_flags(sp, formats=("json",))
     sp.set_defaults(func=cmd_fit_params)
 

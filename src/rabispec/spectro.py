@@ -16,16 +16,13 @@ the diagonalized Hamiltonian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import rabi
 from .errors import IllConditionedDataError
 from .levmar import least_squares_lm
-
-# magnetic flux quantum h/2e in Wb
-FLUX_QUANTUM_WB = 2.067833848e-15
 
 MAX_BACKGROUND_DEGREE = 8
 MIN_OBSERVATIONS = 6
@@ -73,37 +70,12 @@ class BackgroundPoly:
             raise ValueError(f"background degree must be between 0 and {MAX_BACKGROUND_DEGREE}")
         object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def __call__(self, omega_p):
         u = np.asarray(omega_p, dtype=float) - self.center
         out = np.zeros_like(u)
         for c in reversed(self.coefficients):
             out = out * u + c
         return out[()]
-
-
-@dataclass(frozen=True)
-class SquidParams:
-    """Josephson coupler: junction critical current, flux bias, loop ratio.
-
-    Currents in microamperes; n_phi_c is the coupler flux in units of the
-    flux quantum.
-    """
-
-    i_c: float
-    n_phi_c: float
-    i_b: float = 0.0
-    r_c: float = 0.05
-
-    def __post_init__(self):
-        if self.i_c <= 0:
-            raise ValueError(f"critical current must be > 0, got {self.i_c}")
-        for name in ("n_phi_c", "i_b", "r_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -130,13 +102,13 @@ class TransitionMap:
 
 
 def transition_map(
-    params_at_eps, epsilon_grid, n_max: int = rabi.DEFAULT_N_MAX
+    params: rabi.CircuitParams, epsilon_grid, n_max: int = rabi.DEFAULT_N_MAX
 ) -> TransitionMap:
     """Diagonalize along a bias grid and collect the TRANSITIONS frequencies.
 
-    ``params_at_eps`` maps a bias value (GHz) to CircuitParams; typically
-    only epsilon varies.  States are ordinal (labels |i n> are not defined
-    away from the symmetry point).
+    Each grid point is ``params`` with epsilon set to the grid value (GHz);
+    the epsilon of ``params`` itself is ignored.  States are ordinal (labels
+    |i n> are not defined away from the symmetry point).
     """
     grid = np.asarray(epsilon_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -144,7 +116,7 @@ def transition_map(
     freqs = {pair: np.empty(grid.size) for pair in TRANSITIONS}
     elems = {pair: np.empty(grid.size) for pair in TRANSITIONS}
     for i, eps in enumerate(grid):
-        spec = rabi.solve(params_at_eps(float(eps)), n_max)
+        spec = rabi.solve(replace(params, epsilon=float(eps)), n_max)
         for k, l in TRANSITIONS:
             freqs[(k, l)][i] = spec.eigenvalues[l] - spec.eigenvalues[k]
             elems[(k, l)][i] = rabi.transition_matrix_element(spec, k, l)
@@ -268,28 +240,3 @@ def fit_circuit_params(
     delta, omega, g = np.abs(result.x) * scale
     return rabi.CircuitParams(delta=float(delta), omega=float(omega), g=float(g)), result.rms
 
-
-def squid_inductance(s: SquidParams) -> float:
-    """Josephson inductance of the coupler SQUID in nanohenry.
-
-    L = Phi0 / (2 pi sqrt((2 I_c cos|pi n_phi_c|)^2 - I_b^2)); the flux and
-    bias current must leave a real root.  Exactly half-integer flux zeroes
-    the cosine and is rejected as divergent.
-    """
-    # remainder folds the flux into [-0.5, 0.5]; |cos(pi n)| is periodic in n
-    folded = math.remainder(s.n_phi_c, 1.0)
-    cos_term = 0.0 if abs(folded) == 0.5 else abs(math.cos(math.pi * folded))
-    under_root = (2.0 * s.i_c * cos_term) ** 2 - s.i_b**2
-    if under_root <= 0.0:
-        raise ValueError(
-            f"no real inductance: (2 I_c cos|pi n_phi_c|)^2 = "
-            f"{(2.0 * s.i_c * cos_term) ** 2:.3e} uA^2 does not exceed "
-            f"I_b^2 = {s.i_b ** 2:.3e} uA^2"
-        )
-    # currents in uA -> 1e-6 A; report nH (1e9 nH/H)
-    return FLUX_QUANTUM_WB / (2.0 * math.pi * math.sqrt(under_root) * 1e-6) * 1e9
-
-
-def coupler_flux(n_phi_qubit: float, r_c: float = 0.05) -> float:
-    """Coupler flux bias induced by the qubit flux via the loop-area ratio."""
-    return r_c * n_phi_qubit

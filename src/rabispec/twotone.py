@@ -79,61 +79,6 @@ def avoided_crossing_branches(tld: ThreeLevelDrive, omega_d):
     return (center - root)[()], (center + root)[()]
 
 
-@dataclass(frozen=True)
-class DressedLevels:
-    """Near-degenerate dressed eigenenergies at fixed drive photon number."""
-
-    spectator: float
-    lower: float
-    upper: float
-    block: tuple
-
-    def branch_splitting(self) -> float:
-        return self.upper - self.lower
-
-
-def dressed_eigen(tld: ThreeLevelDrive, omega_d: float, n_drive: int) -> DressedLevels:
-    """Dressed energies near resonance, plus the raw 2x2 block eigenvalues.
-
-    The spectator is |a, N>; the dressed pair mixes |b, N> with |c, N-1>
-    (b below c) or |c, N+1> (c below b).  The closed form and the direct
-    2x2 diagonalization coincide by construction and both are returned.
-    """
-    if n_drive < 1:
-        raise ValueError(f"drive photon number must be >= 1, got {n_drive}")
-    spectator = tld.omega_a + n_drive * omega_d
-    if tld.ordering == "b_below_c":
-        mean = 0.5 * (tld.omega_b + tld.omega_c + (2 * n_drive - 1) * omega_d)
-        detuning = (tld.omega_c - tld.omega_b) - omega_d
-        e_b = tld.omega_b + n_drive * omega_d
-        e_c = tld.omega_c + (n_drive - 1) * omega_d
-    else:
-        mean = 0.5 * (tld.omega_b + tld.omega_c + (2 * n_drive + 1) * omega_d)
-        detuning = (tld.omega_b - tld.omega_c) - omega_d
-        e_b = tld.omega_b + n_drive * omega_d
-        e_c = tld.omega_c + (n_drive + 1) * omega_d
-    root = math.sqrt(0.25 * detuning**2 + tld.rabi_bc**2)
-    half_sum = 0.5 * (e_b + e_c)
-    block_root = math.sqrt(0.25 * (e_b - e_c) ** 2 + tld.rabi_bc**2)
-    return DressedLevels(
-        spectator=spectator,
-        lower=mean - root,
-        upper=mean + root,
-        block=(half_sum - block_root, half_sum + block_root),
-    )
-
-
-def classify_slope(transition_kind: str) -> int:
-    """Slope of the diagonal probe line vs drive frequency.
-
-    Absorbing one drive photon gives -1; emitting one gives +1.
-    """
-    slopes = {"absorb_drive": -1, "emit_drive": +1}
-    if transition_kind not in slopes:
-        raise ValueError(f"transition kind must be one of {tuple(slopes)}, got {transition_kind!r}")
-    return slopes[transition_kind]
-
-
 def minimum_branch_gap(tld: ThreeLevelDrive) -> tuple[float, float]:
     """Minimum branch splitting over drive frequency: (gap, omega_d at it).
 

@@ -134,20 +134,26 @@ def test_shift_curves_rows():
 
 def test_numeric_vs_closed_no_coupling():
     p = rabi.CircuitParams(delta=1.2, omega=6.0, g=0.0)
-    numeric, closed = analytic.delta_n_numeric_vs_closed(p, 20, 1)
+    labels = rabi.assign_labels(rabi.solve(p, 20), p, max_photon=1)
+    numeric = rabi.photon_number_qubit_frequency(labels, 1)
+    closed = analytic.delta_n_closed_form(p.delta, p.beta, 1)
     assert numeric == pytest.approx(1.2, abs=1e-9)
     assert closed == 1.2
 
 
 def test_numeric_vs_closed_set_b(reference):
-    numeric, _ = analytic.delta_n_numeric_vs_closed(reference["B"].params, 40, 0)
+    p = reference["B"].params
+    labels = rabi.assign_labels(rabi.solve(p, 40), p, max_photon=1)
+    numeric = rabi.photon_number_qubit_frequency(labels, 0)
     assert numeric == pytest.approx(0.229, abs=2e-3)
 
 
 def test_numeric_vs_closed_differ_at_large_delta(reference):
     # delta/omega = 0.933: the asymptotic formula is visibly off the numerics
     p = reference["E"].params
-    numeric, closed = analytic.delta_n_numeric_vs_closed(p, 40, 1)
+    labels = rabi.assign_labels(rabi.solve(p, 40), p, max_photon=1)
+    numeric = rabi.photon_number_qubit_frequency(labels, 1)
+    closed = analytic.delta_n_closed_form(p.delta, p.beta, 1)
     assert numeric == pytest.approx(-1.741, abs=2e-3)
     beta = p.beta
     want_closed = p.delta * math.exp(-2 * beta**2) * (1.0 - 4.0 * beta**2)

@@ -1,13 +1,18 @@
+import contextlib
 import csv
+import io
 import json
 import math
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabispec import spectro
-from rabispec.cli import main
+from rabispec.cli import MAX_GRID_POINTS, main
 
 
 def run_cli(argv, capsys):
@@ -77,12 +82,43 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "-0.01"], "--rabi-bc"),
         (fit_params + ["--input", str(few), "--init-delta", "-1"], "--init-delta"),
         (fit_params + ["--input", str(few), "--init-delta", "1"], str(few)),
+        (fit_params + ["--input", str(few), "--init-delta", "1", "--residual-threshold", "nan"],
+         "--residual-threshold"),
+        (fit_params + ["--input", str(few), "--init-delta", "1", "--residual-threshold", "-1"],
+         "--residual-threshold"),
+        (["spectrum", "--set", "A", "--grid-stop", "inf"], "--grid-stop"),
+        (["overlap", "--grid-start", "nan"], "--grid-start"),
+        (["shift-curves", "--grid-points", str(MAX_GRID_POINTS + 1)], "--grid-points"),
+        (["shift-curves", "--grid-start=-1e308", "--grid-stop", "1e308"], "--grid-start"),
+        (["shift-curves", "--grid-stop", "1e100"], "--grid-stop"),  # delta_n/delta overflows
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert err.startswith("error: usage:")
         assert named in err, argv
         assert err.count("\n") == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start=st.floats(),
+    stop=st.floats(),
+    points=st.one_of(st.integers(-3, 40), st.integers(MAX_GRID_POINTS + 1, 10**12)),
+)
+def test_grid_flags_never_crash(start, stop, points):
+    # nan and +-inf are drawn; a grid above the cap must be refused unbuilt
+    argv = ["shift-curves", f"--grid-start={start!r}", f"--grid-stop={stop!r}",
+            f"--grid-points={points}"]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # outside pytest a warning is printed to stderr
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert code in (0, 1)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") <= 1
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_nmax_below_one_is_usage_error(tmp_path, capsys):

@@ -38,8 +38,6 @@ def test_lineshape_validation():
         spectro.LineshapeParams(omega0=6.0, q_total=0.0, q_external=1e3)
     with pytest.raises(ValueError):
         spectro.BackgroundPoly(tuple(range(10)))
-    with pytest.raises(ValueError):
-        spectro.SquidParams(i_c=0.0, n_phi_c=0.0)
 
 
 def _synthetic_lineshape(noise=0.0, seed=None):
@@ -167,11 +165,8 @@ def test_fit_circuit_params_validates_observations():
 def test_transition_map_bare_qubit():
     delta = 1.2
     grid = np.linspace(-1.5, 1.5, 7)
-
-    def at_eps(eps):
-        return rabi.CircuitParams(delta=delta, omega=6.0, g=0.0, epsilon=eps)
-
-    tmap = spectro.transition_map(at_eps, grid, n_max=12)
+    p = rabi.CircuitParams(delta=delta, omega=6.0, g=0.0)
+    tmap = spectro.transition_map(p, grid, n_max=12)
     qubit = np.sqrt(delta**2 + grid**2)
     assert np.allclose(tmap.frequencies[(0, 1)], qubit, atol=1e-9)
     # the oscillator line sits at omega and is the one that carries weight
@@ -184,11 +179,7 @@ def test_transition_map_bare_qubit():
 def test_transition_map_set_a(reference):
     p = reference["A"].params
     grid = np.array([-10.0, 0.0, 10.0])
-
-    def at_eps(eps):
-        return rabi.CircuitParams(p.delta, p.omega, p.g, eps)
-
-    tmap = spectro.transition_map(at_eps, grid, n_max=40)
+    tmap = spectro.transition_map(p, grid, n_max=40)
     center = np.where(grid == 0.0)[0][0]
     assert tmap.frequencies[(0, 1)][center] == pytest.approx(1.235, abs=2e-3)
     # far from the symmetry point the 0->1 branch becomes the oscillator line
@@ -199,11 +190,7 @@ def test_transition_map_set_a(reference):
 def test_transition_map_masks_forbidden_at_symmetry(reference):
     p = reference["H"].params
     grid = np.array([-0.4, 0.0, 0.4])
-
-    def at_eps(eps):
-        return rabi.CircuitParams(p.delta, p.omega, p.g, eps)
-
-    tmap = spectro.transition_map(at_eps, grid, n_max=40)
+    tmap = spectro.transition_map(p, grid, n_max=40)
     curves = tmap.curves
     center = 1
     # g0 -> e1 shares parity with the ground state at eps = 0; with the
@@ -218,53 +205,7 @@ def test_transition_map_masks_forbidden_at_symmetry(reference):
 def test_transition_map_matches_labeled_gap_at_symmetry(solved_sets):
     # the lowest visible transition at eps = 0 is the zero-photon qubit line
     for _, (ref, spec, labels) in solved_sets.items():
-        p = ref.params
-
-        def at_eps(eps, p=p):
-            return rabi.CircuitParams(p.delta, p.omega, p.g, eps)
-
-        tmap = spectro.transition_map(at_eps, np.array([0.0, 0.1]), n_max=40)
+        tmap = spectro.transition_map(ref.params, np.array([0.0, 0.1]), n_max=40)
         gap = labels.energy("e", 0) - labels.energy("g", 0)
         assert tmap.frequencies[(0, 1)][0] == pytest.approx(gap, abs=1e-9)
 
-
-def test_squid_inductance_value():
-    got = spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=0.0))
-    want = spectro.FLUX_QUANTUM_WB / (2.0 * math.pi * 2e-6) * 1e9
-    assert got == pytest.approx(want, rel=1e-12)
-    assert got == pytest.approx(0.1645, abs=1e-4)
-
-
-def test_squid_inductance_half_flux_diverges():
-    with pytest.raises(ValueError):
-        spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=0.5))
-
-
-def test_squid_inductance_flux_ratio():
-    base = spectro.squid_inductance(spectro.SquidParams(i_c=1.3, n_phi_c=0.0))
-    for n_phi in (0.1, 0.2, 0.35):
-        got = spectro.squid_inductance(spectro.SquidParams(i_c=1.3, n_phi_c=n_phi))
-        assert got / base == pytest.approx(1.0 / math.cos(math.pi * n_phi), rel=1e-12)
-
-
-def test_squid_inductance_even_in_flux_and_growing_in_bias():
-    for n_phi in (0.05, 0.25):
-        plus = spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=n_phi))
-        minus = spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=-n_phi))
-        assert plus == minus
-    values = [
-        spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=0.1, i_b=b))
-        for b in (0.0, 0.5, 1.0, 1.5)
-    ]
-    assert all(b > a for a, b in zip(values, values[1:]))
-
-
-def test_squid_inductance_imaginary_rejected():
-    with pytest.raises(ValueError):
-        spectro.squid_inductance(spectro.SquidParams(i_c=1.0, n_phi_c=0.4, i_b=3.0))
-
-
-def test_coupler_flux():
-    assert spectro.coupler_flux(0.5, 0.05) == 0.025
-    assert spectro.coupler_flux(-1.5, 0.05) == pytest.approx(-0.075)
-    assert spectro.coupler_flux(0.0, 0.3) == 0.0
