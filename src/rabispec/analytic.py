@@ -64,8 +64,6 @@ class OverlapResult:
     test for the closed form).
     """
 
-    n: int
-    beta: float
     value_quadrature: float
     value_closed_form: float
 
@@ -92,7 +90,7 @@ def overlap_integral(n: int, beta: float, num_points: int = QUADRATURE_POINTS) -
         )
     value = float(np.trapezoid(left * right, x))
     closed = float(_displaced_overlap(n, beta))
-    return OverlapResult(n=n, beta=beta, value_quadrature=value, value_closed_form=closed)
+    return OverlapResult(value_quadrature=value, value_closed_form=closed)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,9 @@ single-line ``error: ...`` message on stderr for any failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +19,7 @@ import sys
 import numpy as np
 
 from . import analytic, rabi, refdata, spectro, svgplot, twotone
+from .errors import IllConditionedDataError
 
 GHZ_FMT = "%.4f"
 FLOAT_FMT = "%.10g"
@@ -24,13 +27,12 @@ SET_IDS = tuple("ABCDEFGHI")
 # largest --grid-points; np.linspace allocates the whole grid before any
 # command looks at it
 MAX_GRID_POINTS = 10**5
+# largest --max-n and --n; shift-curves costs grow as its square, and the
+# overlap normalization overflows a float from n = 171
+MAX_PHOTONS = 100
 
 
 class UsageError(Exception):
-    pass
-
-
-class ComputationError(Exception):
     pass
 
 
@@ -176,7 +178,7 @@ def _finite_float(relation: str | None = None):
 # flag types: a Fock truncation, a photon number, a background degree, a
 # grid size, and finite floats of any sign, >= 0 and > 0
 _nmax = _int_in(1)
-_photons = _int_in(0)
+_photons = _int_in(0, MAX_PHOTONS)
 _degree = _int_in(0, spectro.MAX_BACKGROUND_DEGREE)
 _grid_points = _int_in(2, MAX_GRID_POINTS)
 _finite = _finite_float()
@@ -190,12 +192,23 @@ def _add_grid_flags(sp, start, stop, points):
     sp.add_argument("--grid-points", type=_grid_points, default=points)
 
 
+@contextlib.contextmanager
+def _grid_overflow(args, what: str):
+    """Turn a float overflow in the block into a usage error naming the grid flags."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise UsageError(
+            f"{what} [{args.grid_start}, {args.grid_stop}]; narrow --grid-start/--grid-stop"
+        ) from exc
+
+
 def _resolve_grid(args) -> np.ndarray:
     if not args.grid_start < args.grid_stop:
         raise UsageError("grid start must be below grid stop")
-    if not math.isfinite(args.grid_stop - args.grid_start):
-        raise UsageError("--grid-stop minus --grid-start overflows a float")
-    return np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+    with _grid_overflow(args, f"{args.grid_points} grid points overflow a float on"):
+        return np.linspace(args.grid_start, args.grid_stop, args.grid_points)
 
 
 def _read_csv_input(path, expected_header):
@@ -242,7 +255,7 @@ def cmd_shift_table(args):
             spec = rabi.solve(p, args.nmax)
             labels = rabi.assign_labels(spec, p)
         except Exception as exc:
-            raise ComputationError(f"set {set_id}: {exc}") from exc
+            raise RuntimeError(f"set {set_id}: {exc}") from exc
         row = [set_id, p.delta, p.omega, p.g]
         computed = [rabi.photon_number_qubit_frequency(labels, n) for n in range(3)]
         for n in range(3):
@@ -257,14 +270,9 @@ def cmd_shift_table(args):
 def cmd_shift_curves(args):
     """Closed-form delta_n/delta curves plus the measured reference points."""
     grid = _resolve_grid(args)
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            curves = analytic.normalized_shift_curves(grid, args.max_n)
-    except FloatingPointError as exc:
-        raise UsageError(
-            f"delta_n/delta up to --max-n {args.max_n} overflows on the beta grid "
-            f"[{args.grid_start}, {args.grid_stop}]; narrow --grid-start/--grid-stop"
-        ) from exc
+    what = f"delta_n/delta up to --max-n {args.max_n} overflows on the beta grid"
+    with _grid_overflow(args, what):
+        curves = analytic.normalized_shift_curves(grid, args.max_n)
     header = ["kind", "set", "beta"] + [f"d{n}_over_delta" for n in range(args.max_n + 1)]
     rows = [["curve", ""] + list(map(float, row)) for row in curves]
     points = []
@@ -317,27 +325,23 @@ def cmd_spectrum(args):
 def cmd_twotone(args):
     """Dressed-state branch frequencies vs drive frequency for one panel."""
     params = _resolve_params(args)
-    if args.grid_start is None or args.grid_stop is None:
+    explicit = args.grid_start is not None and args.grid_stop is not None
+    # a bad explicit grid is a usage error before the solve
+    grid = _resolve_grid(args) if explicit else None
+    drive = twotone.twotone_linemap(params, args.nmax, args.panel, args.rabi_bc)
+    if grid is None:
         # default window centered on the drive resonance of the panel
-        linemap = twotone.twotone_linemap(
-            params, args.nmax, args.panel, np.zeros(1), args.rabi_bc
-        )
-        res = linemap.drive.drive_resonance
+        res = drive.drive_resonance
         span = max(25.0 * args.rabi_bc, 0.05 * res, 1e-3)
         if args.grid_start is None:
             args.grid_start = res - span
         if args.grid_stop is None:
             args.grid_stop = res + span
-        linemap = linemap.on_grid(_resolve_grid(args))
-    else:
-        linemap = twotone.twotone_linemap(
-            params, args.nmax, args.panel, _resolve_grid(args), args.rabi_bc
-        )
+        grid = _resolve_grid(args)
+    with _grid_overflow(args, "the two-tone branches overflow on the drive grid"):
+        branch_lo, branch_hi = twotone.avoided_crossing_branches(drive, grid)
     header = ["omega_d_ghz", "branch_lo_ghz", "branch_hi_ghz"]
-    rows = [
-        [float(w), float(lo), float(hi)]
-        for w, lo, hi in zip(linemap.omega_d, linemap.branch_lo, linemap.branch_hi)
-    ]
+    rows = [[float(w), float(lo), float(hi)] for w, lo, hi in zip(grid, branch_lo, branch_hi)]
     plot = {
         "title": f"two-tone branches, panel {args.panel}",
         "xlabel": "drive frequency (GHz)",
@@ -361,7 +365,7 @@ def cmd_overlap(args):
     for beta in grid:
         res = analytic.overlap_integral(args.n, float(beta))
         rows.append(
-            [res.beta, res.value_quadrature, res.value_closed_form, res.value_quadrature / ref]
+            [float(beta), res.value_quadrature, res.value_closed_form, res.value_quadrature / ref]
         )
     plot = {
         "title": f"overlap of oppositely displaced {args.n}-photon packets",
@@ -413,16 +417,12 @@ def cmd_fit_params(args):
                 f"level indices must be integers in [0, {levels}) at --nmax {args.nmax}, "
                 f"got row {','.join(map(_fmt, row))!r}"
             )
-    transitions = {(k, l) for _, k, l, _ in rows}
-    if len(rows) < spectro.MIN_OBSERVATIONS or len(transitions) < 2:
-        raise UsageError(
-            f"input file {args.input} has {len(rows)} observations of "
-            f"{len(transitions)} transitions; fit-params needs at least "
-            f"{spectro.MIN_OBSERVATIONS} observations of 2 transitions"
-        )
     observed = [(eps, (int(k), int(l)), freq) for eps, k, l, freq in rows]
     init = rabi.CircuitParams(delta=args.init_delta, omega=args.init_omega, g=args.init_g)
-    fitted, rms = spectro.fit_circuit_params(observed, init, n_max=args.nmax)
+    try:
+        fitted, rms = spectro.fit_circuit_params(observed, init, n_max=args.nmax)
+    except IllConditionedDataError as exc:
+        raise UsageError(f"input file {args.input} has {exc}") from exc
     body = {
         "command": "fit-params",
         "delta_ghz": fitted.delta,
@@ -439,23 +439,12 @@ def cmd_fit_params(args):
 def cmd_reconstruct(args):
     """Six level energies from the five measured transition frequencies."""
     five = twotone.FiveFrequencies(
-        w_g0g1=args.w_g0g1,
-        w_g0g2=args.w_g0g2,
-        w_e0e1=args.w_e0e1,
-        w_e0e2=args.w_e0e2,
-        w_g0e1=args.w_g0e1,
+        **{f.name: getattr(args, f.name) for f in dataclasses.fields(twotone.FiveFrequencies)}
     )
     six = twotone.reconstruct_levels(five)
     body = {
         "command": "reconstruct",
-        "energies_ghz": {
-            "g0": six.g0,
-            "e0": six.e0,
-            "g1": six.g1,
-            "e1": six.e1,
-            "g2": six.g2,
-            "e2": six.e2,
-        },
+        "energies_ghz": dataclasses.asdict(six),
         "delta_0_ghz": six.delta_0,
         "delta_1_ghz": six.delta_1,
         "delta_2_ghz": six.delta_2,
@@ -526,8 +515,8 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_fit_params)
 
     sp = sub.add_parser("reconstruct", help="six level energies from five frequencies")
-    for name in ("w-g0g1", "w-g0g2", "w-e0e1", "w-e0e2", "w-g0e1"):
-        sp.add_argument(f"--{name}", type=float, required=True)
+    for f in dataclasses.fields(twotone.FiveFrequencies):
+        sp.add_argument(f"--{f.name.replace('_', '-')}", type=_positive, required=True)
     _add_output_flags(sp, formats=("json",))
     sp.set_defaults(func=cmd_reconstruct)
 

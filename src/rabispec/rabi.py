@@ -23,7 +23,7 @@ states; at finite bias the dense matrix goes to ``np.linalg.eigh``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -94,16 +94,16 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class LabeledLevels:
-    """Map from labels (i, n) with i in {'g', 'e'} to energies and ordinals."""
+    """Labels (i, n) with i in {'g', 'e'} mapped to ordinals of a spectrum.
 
-    energies: dict = field(default_factory=dict)
-    indices: dict = field(default_factory=dict)
+    ``eigenvalues`` is the labeled spectrum's own array, not a copy.
+    """
+
+    indices: dict
+    eigenvalues: np.ndarray
 
     def energy(self, i: str, n: int) -> float:
-        key = (i, n)
-        if key not in self.energies:
-            raise KeyError(f"no label ({i}, {n}); labels go up to n = {self.max_photon}")
-        return self.energies[key]
+        return float(self.eigenvalues[self.index(i, n)])
 
     def index(self, i: str, n: int) -> int:
         key = (i, n)
@@ -113,7 +113,7 @@ class LabeledLevels:
 
     @property
     def max_photon(self) -> int:
-        return max(n for (_, n) in self.energies)
+        return max(n for (_, n) in self.indices)
 
 
 def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
@@ -291,7 +291,6 @@ def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) ->
             f"need at least {2 * max_photon + 2} states for labels up to "
             f"n = {max_photon}, spectrum has {spec.dim}"
         )
-    energies = {("g", 0): float(spec.eigenvalues[0]), ("e", 0): float(spec.eigenvalues[1])}
     indices = {("g", 0): 0, ("e", 0): 1}
     for n in range(max_photon):
         cand_a, cand_b = 2 * n + 2, 2 * n + 3
@@ -303,9 +302,7 @@ def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) ->
             raise AmbiguousLabelError(n, elem_a, elem_b)
         g_next, e_next = (cand_a, cand_b) if a_wins else (cand_b, cand_a)
         indices[("g", n + 1)], indices[("e", n + 1)] = g_next, e_next
-        energies[("g", n + 1)] = float(spec.eigenvalues[g_next])
-        energies[("e", n + 1)] = float(spec.eigenvalues[e_next])
-    return LabeledLevels(energies=energies, indices=indices)
+    return LabeledLevels(indices=indices, eigenvalues=spec.eigenvalues)
 
 
 def photon_number_qubit_frequency(labels: LabeledLevels, n: int) -> float:

@@ -16,7 +16,7 @@ the diagonalized Hamiltonian.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,9 +88,8 @@ class TransitionMap:
     would actually show.
     """
 
-    epsilon_grid: np.ndarray
-    frequencies: dict = field(default_factory=dict)
-    elements: dict = field(default_factory=dict)
+    frequencies: dict
+    elements: dict
 
     @property
     def curves(self) -> dict:
@@ -120,7 +119,7 @@ def transition_map(
         for k, l in TRANSITIONS:
             freqs[(k, l)][i] = spec.eigenvalues[l] - spec.eigenvalues[k]
             elems[(k, l)][i] = rabi.transition_matrix_element(spec, k, l)
-    return TransitionMap(epsilon_grid=grid, frequencies=freqs, elements=elems)
+    return TransitionMap(frequencies=freqs, elements=elems)
 
 
 def s21(params: LineshapeParams, omega_p):
@@ -208,17 +207,20 @@ def fit_circuit_params(
     """Fit (delta, omega, g) to observed transition frequencies.
 
     ``observed`` is a sequence of (epsilon, (k, l), frequency) with ordinal
-    state indices; at least 6 observations spanning at least 2 distinct
-    transitions.  Bias values are held fixed; delta, omega, g are scaled to
-    order one by the initial guess for conditioning.  Returns the fitted
+    state indices; fewer than MIN_OBSERVATIONS observations, or fewer than 2
+    distinct transitions, raise IllConditionedDataError.  Bias values are
+    held fixed; delta, omega, g are scaled to order one by the initial guess
+    for conditioning.  Returns the fitted
     parameters and the RMS residual; a residual far above the measurement
     scale means the observations are inconsistent with any parameter set.
     """
     rows = [(float(eps), (int(pair[0]), int(pair[1])), float(freq)) for eps, pair, freq in observed]
-    if len(rows) < MIN_OBSERVATIONS:
-        raise ValueError(f"need at least {MIN_OBSERVATIONS} observations, got {len(rows)}")
-    if len({pair for _, pair, _ in rows}) < 2:
-        raise ValueError("observations must span at least 2 distinct transitions")
+    transitions = len({pair for _, pair, _ in rows})
+    if len(rows) < MIN_OBSERVATIONS or transitions < 2:
+        raise IllConditionedDataError(
+            f"{len(rows)} observations of {transitions} transitions; fit-params needs "
+            f"at least {MIN_OBSERVATIONS} observations of 2 transitions"
+        )
     scale = np.array([max(init.delta, 0.1), init.omega, max(init.g, 0.1)])
     targets = np.array([freq for _, _, freq in rows])
     by_eps = {}

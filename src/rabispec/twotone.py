@@ -17,7 +17,7 @@ shift.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -101,10 +101,10 @@ class FiveFrequencies:
     w_g0e1: float
 
     def __post_init__(self):
-        for name in ("w_g0g1", "w_g0g2", "w_e0e1", "w_e0e2", "w_g0e1"):
-            value = getattr(self, name)
+        for f in fields(self):
+            value = getattr(self, f.name)
             if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{f.name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -159,50 +159,24 @@ def reconstruct_levels(f: FiveFrequencies) -> SixLevels:
     )
 
 
-@dataclass(frozen=True)
-class TwoToneLineMap:
-    """Dressed branch frequencies vs drive frequency for one panel."""
-
-    panel: str
-    levels: tuple
-    drive: ThreeLevelDrive
-    omega_d: np.ndarray
-    branch_lo: np.ndarray
-    branch_hi: np.ndarray
-
-    def on_grid(self, omega_d_grid) -> TwoToneLineMap:
-        """The same panel's branches on another drive grid, without a new solve."""
-        grid = np.asarray(omega_d_grid, dtype=float)
-        lo, hi = avoided_crossing_branches(self.drive, grid)
-        return replace(self, omega_d=grid, branch_lo=lo, branch_hi=hi)
-
-
 def twotone_linemap(
-    params: rabi.CircuitParams,
-    n_max: int,
-    panel: str,
-    omega_d_grid,
-    rabi_bc: float,
-) -> TwoToneLineMap:
-    """Avoided-crossing line map for one drive/probe configuration.
+    params: rabi.CircuitParams, n_max: int, panel: str, rabi_bc: float
+) -> ThreeLevelDrive:
+    """Driven three-level model of one two-tone panel of the circuit.
 
     Panels select the level triple (a, b, c): 'a' probes g0 -> g1 while the
     drive scans g1 -> g2; 'b' the same on the e ladder; 'c' probes g0 -> g1
     while the drive scans between g1 and e1.  Level energies come from the
-    labeled circuit spectrum; the drive amplitude is a free input.
+    labeled circuit spectrum; the drive amplitude is a free input.  The
+    branches on a drive grid are :func:`avoided_crossing_branches` of the
+    returned model.
     """
     if panel not in PANEL_TRIPLES:
         raise ValueError(f"panel must be one of {tuple(PANEL_TRIPLES)}, got {panel!r}")
-    grid = np.asarray(omega_d_grid, dtype=float)
     spec = rabi.solve(params, n_max)
     labels = rabi.assign_labels(spec, params, max_photon=2)
-    triple = PANEL_TRIPLES[panel]
-    e_a, e_b, e_c = (labels.energy(i, n) for i, n in triple)
+    e_a, e_b, e_c = (labels.energy(i, n) for i, n in PANEL_TRIPLES[panel])
     ordering = "b_below_c" if e_b <= e_c else "c_below_b"
-    tld = ThreeLevelDrive(
+    return ThreeLevelDrive(
         omega_a=e_a, omega_b=e_b, omega_c=e_c, rabi_bc=rabi_bc, ordering=ordering
-    )
-    lo, hi = avoided_crossing_branches(tld, grid)
-    return TwoToneLineMap(
-        panel=panel, levels=triple, drive=tld, omega_d=grid, branch_lo=lo, branch_hi=hi
     )

@@ -8,11 +8,11 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabispec import spectro
-from rabispec.cli import MAX_GRID_POINTS, main
+from rabispec.cli import MAX_GRID_POINTS, MAX_PHOTONS, main
 
 
 def run_cli(argv, capsys):
@@ -68,6 +68,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     few = tmp_path / "few.csv"
     few.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n0.3,0,2,1.5\n")
     fit_params = ["fit-params", "--init-omega", "6", "--init-g", "1"]
+    reconstruct = ["reconstruct", "--w-g0g2", "1.2", "--w-e0e1", "1.1", "--w-e0e2", "1.6",
+                   "--w-g0e1", "1.2"]
     for argv, named in (
         (["bogus-command"], "bogus-command"),
         (["spectrum", "--set", "Z"], "--set"),
@@ -91,6 +93,14 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["shift-curves", "--grid-points", str(MAX_GRID_POINTS + 1)], "--grid-points"),
         (["shift-curves", "--grid-start=-1e308", "--grid-stop", "1e308"], "--grid-start"),
         (["shift-curves", "--grid-stop", "1e100"], "--grid-stop"),  # delta_n/delta overflows
+        (["shift-curves", "--grid-stop", "1.7976931348623157e308", "--grid-points", "19"],
+         "--grid-stop"),  # np.linspace overflows
+        (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02", "--grid-start", "0",
+          "--grid-stop", "1e200", "--grid-points", "3"], "--grid-stop"),  # branches overflow
+        (reconstruct + ["--w-g0g1", "-1"], "--w-g0g1"),
+        (reconstruct + ["--w-g0g1", "nan"], "--w-g0g1"),
+        (["shift-curves", "--max-n", str(MAX_PHOTONS + 1)], "--max-n"),
+        (["overlap", "--n", str(MAX_PHOTONS + 1)], "--n"),
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
@@ -99,15 +109,22 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         assert err.count("\n") == 1
 
 
+SHIFT_CURVES = ("shift-curves",)
+TWOTONE = ("twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02")
+
+
 @settings(max_examples=200, deadline=None)
 @given(
+    command=st.sampled_from([SHIFT_CURVES, TWOTONE]),
     start=st.floats(),
     stop=st.floats(),
     points=st.one_of(st.integers(-3, 40), st.integers(MAX_GRID_POINTS + 1, 10**12)),
 )
-def test_grid_flags_never_crash(start, stop, points):
+@example(command=SHIFT_CURVES, start=0.0, stop=1.7976931348623157e308, points=19)
+@example(command=TWOTONE, start=0.0, stop=1e200, points=3)
+def test_grid_flags_never_crash(command, start, stop, points):
     # nan and +-inf are drawn; a grid above the cap must be refused unbuilt
-    argv = ["shift-curves", f"--grid-start={start!r}", f"--grid-stop={stop!r}",
+    argv = [*command, f"--grid-start={start!r}", f"--grid-stop={stop!r}",
             f"--grid-points={points}"]
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \

@@ -156,9 +156,9 @@ def test_fit_circuit_params_flags_inconsistent_data():
 
 def test_fit_circuit_params_validates_observations():
     init = rabi.CircuitParams(delta=1.0, omega=6.0, g=0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(IllConditionedDataError):
         spectro.fit_circuit_params([(0.0, (0, 1), 5.0)] * 5, init, 12)
-    with pytest.raises(ValueError):
+    with pytest.raises(IllConditionedDataError):
         spectro.fit_circuit_params([(0.0, (0, 1), 5.0)] * 6, init, 12)
 
 

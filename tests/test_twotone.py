@@ -197,23 +197,22 @@ def test_reconstruct_detects_inversion():
 
 def test_linemap_panel_geometry(reference):
     p = reference["H"].params
-    grid = np.linspace(0.2, 0.9, 15)
-    linemap = twotone.twotone_linemap(p, 40, "c", grid, rabi_bc=0.01)
-    assert linemap.drive.ordering == "c_below_b"
+    drive = twotone.twotone_linemap(p, 40, "c", rabi_bc=0.01)
+    assert drive.ordering == "c_below_b"
     # crossing pinch sits at the drive resonance |E(g1) - E(e1)|
-    assert linemap.drive.drive_resonance == pytest.approx(0.514, abs=2e-3)
-    gap, at = twotone.minimum_branch_gap(linemap.drive)
-    assert at == pytest.approx(linemap.drive.drive_resonance, abs=1e-6)
+    assert drive.drive_resonance == pytest.approx(0.514, abs=2e-3)
+    gap, at = twotone.minimum_branch_gap(drive)
+    assert at == pytest.approx(drive.drive_resonance, abs=1e-6)
 
     spec = rabi.solve(p, 40)
     labels = rabi.assign_labels(spec, p)
-    panel_a = twotone.twotone_linemap(p, 40, "a", np.linspace(5.0, 7.0, 9), 0.02)
-    assert panel_a.drive.ordering == "b_below_c"
+    panel_a = twotone.twotone_linemap(p, 40, "a", 0.02)
+    assert panel_a.ordering == "b_below_c"
     w_g0g1 = labels.energy("g", 1) - labels.energy("g", 0)
     w_g0g2 = labels.energy("g", 2) - labels.energy("g", 0)
     # far-detuned: horizontal branch at the one-photon line, diagonal with slope -1
-    far = panel_a.drive.drive_resonance + 50.0
-    lo, hi = twotone.avoided_crossing_branches(panel_a.drive, far)
+    far = panel_a.drive_resonance + 50.0
+    lo, hi = twotone.avoided_crossing_branches(panel_a, far)
     assert min(abs(lo - w_g0g1), abs(hi - w_g0g1)) < 1e-3
     diag = lo if abs(lo - w_g0g1) > abs(hi - w_g0g1) else hi
     assert diag == pytest.approx(w_g0g2 - far, abs=1e-3)
@@ -222,16 +221,18 @@ def test_linemap_panel_geometry(reference):
 def test_linemap_zero_drive_degenerates_to_bare_lines(reference):
     p = reference["H"].params
     grid = np.linspace(0.3, 0.8, 5)
-    linemap = twotone.twotone_linemap(p, 40, "c", grid, rabi_bc=0.0)
+    branch_lo, branch_hi = twotone.avoided_crossing_branches(
+        twotone.twotone_linemap(p, 40, "c", rabi_bc=0.0), grid
+    )
     spec = rabi.solve(p, 40)
     labels = rabi.assign_labels(spec, p)
     w_ab = labels.energy("g", 1) - labels.energy("g", 0)
     w_ac = labels.energy("e", 1) - labels.energy("g", 0)
     for i, w_d in enumerate(grid):
-        got = {round(float(linemap.branch_lo[i]), 10), round(float(linemap.branch_hi[i]), 10)}
+        got = {round(float(branch_lo[i]), 10), round(float(branch_hi[i]), 10)}
         assert got == {round(w_ab, 10), round(w_ac + w_d, 10)}
 
 
 def test_linemap_rejects_unknown_panel(reference):
     with pytest.raises(ValueError):
-        twotone.twotone_linemap(reference["H"].params, 20, "d", np.zeros(2), 0.01)
+        twotone.twotone_linemap(reference["H"].params, 20, "d", 0.01)
