@@ -11,6 +11,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import functools
 import io
 import json
 import math
@@ -192,22 +193,23 @@ def _add_grid_flags(sp, start, stop, points):
     sp.add_argument("--grid-points", type=_grid_points, default=points)
 
 
+NARROW_GRID = "narrow --grid-start/--grid-stop"
+
+
 @contextlib.contextmanager
-def _grid_overflow(args, what: str):
-    """Turn a float overflow in the block into a usage error naming the grid flags."""
+def _grid_overflow(args, what: str, remedy: str = NARROW_GRID):
+    """Turn a float overflow in the block into a usage error naming the flags at fault."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
     except FloatingPointError as exc:
-        raise UsageError(
-            f"{what} [{args.grid_start}, {args.grid_stop}]; narrow --grid-start/--grid-stop"
-        ) from exc
+        raise UsageError(f"{what} [{args.grid_start}, {args.grid_stop}]; {remedy}") from exc
 
 
-def _resolve_grid(args) -> np.ndarray:
+def _resolve_grid(args, remedy: str = NARROW_GRID) -> np.ndarray:
     if not args.grid_start < args.grid_stop:
         raise UsageError("grid start must be below grid stop")
-    with _grid_overflow(args, f"{args.grid_points} grid points overflow a float on"):
+    with _grid_overflow(args, f"{args.grid_points} grid points overflow a float on", remedy):
         return np.linspace(args.grid_start, args.grid_stop, args.grid_points)
 
 
@@ -329,6 +331,7 @@ def cmd_twotone(args):
     # a bad explicit grid is a usage error before the solve
     grid = _resolve_grid(args) if explicit else None
     drive = twotone.twotone_linemap(params, args.nmax, args.panel, args.rabi_bc)
+    remedy = NARROW_GRID
     if grid is None:
         # default window centered on the drive resonance of the panel
         res = drive.drive_resonance
@@ -337,8 +340,11 @@ def cmd_twotone(args):
             args.grid_start = res - span
         if args.grid_stop is None:
             args.grid_stop = res + span
-        grid = _resolve_grid(args)
-    with _grid_overflow(args, "the two-tone branches overflow on the drive grid"):
+        remedy = (
+            "lower --rabi-bc, which sets the default window, or give --grid-start and --grid-stop"
+        )
+        grid = _resolve_grid(args, remedy)
+    with _grid_overflow(args, "the two-tone branches overflow on the drive grid", remedy):
         branch_lo, branch_hi = twotone.avoided_crossing_branches(drive, grid)
     header = ["omega_d_ghz", "branch_lo_ghz", "branch_hi_ghz"]
     rows = [[float(w), float(lo), float(hi)] for w, lo, hi in zip(grid, branch_lo, branch_hi)]
@@ -362,11 +368,11 @@ def cmd_overlap(args):
     ref = analytic.overlap_integral(args.n, 0.0).value_quadrature
     header = ["beta", "overlap_quadrature", "overlap_closed_form", "ratio_to_zero_coupling"]
     rows = []
-    for beta in grid:
-        res = analytic.overlap_integral(args.n, float(beta))
-        rows.append(
-            [float(beta), res.value_quadrature, res.value_closed_form, res.value_quadrature / ref]
-        )
+    with _grid_overflow(args, f"the {args.n}-photon overlap overflows on the beta grid"):
+        for beta in grid:
+            res = analytic.overlap_integral(args.n, float(beta))
+            value = res.value_quadrature
+            rows.append([float(beta), value, res.value_closed_form, value / ref])
     plot = {
         "title": f"overlap of oppositely displaced {args.n}-photon packets",
         "xlabel": "g/omega",
@@ -463,13 +469,11 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("shift-table", help="computed vs reference qubit frequencies")
     sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     _add_output_flags(sp, formats=("csv", "json"))
-    sp.set_defaults(func=cmd_shift_table)
 
     sp = sub.add_parser("shift-curves", help="normalized frequency curves and points")
     sp.add_argument("--max-n", type=_photons, default=2)
     _add_grid_flags(sp, 0.0, 1.6, 81)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_shift_curves)
 
     sp = sub.add_parser("spectrum", help="transition map vs qubit bias")
     _add_param_flags(sp)
@@ -481,7 +485,6 @@ def build_parser() -> _Parser:
     )
     _add_grid_flags(sp, -2.0, 2.0, 41)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_spectrum)
 
     sp = sub.add_parser("twotone", help="dressed branch map vs drive frequency")
     _add_param_flags(sp)
@@ -490,19 +493,16 @@ def build_parser() -> _Parser:
     sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
     _add_grid_flags(sp, None, None, 201)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_twotone)
 
     sp = sub.add_parser("overlap", help="displaced-Fock overlap integral vs coupling")
     sp.add_argument("--n", type=_photons, default=2, help="photon number")
     _add_grid_flags(sp, 0.0, 1.5, 31)
     _add_output_flags(sp)
-    sp.set_defaults(func=cmd_overlap)
 
     sp = sub.add_parser("fit-s21", help="fit notch lineshapes in an |S21| CSV")
     sp.add_argument("--input", required=True)
     sp.add_argument("--degree", type=_degree, default=3, help="background polynomial degree")
     _add_output_flags(sp, formats=("json",))
-    sp.set_defaults(func=cmd_fit_s21)
 
     sp = sub.add_parser("fit-params", help="fit circuit parameters to transitions")
     sp.add_argument("--input", required=True)
@@ -512,26 +512,30 @@ def build_parser() -> _Parser:
     sp.add_argument("--nmax", type=_nmax, default=24)
     sp.add_argument("--residual-threshold", type=_nonnegative, default=1e-3)
     _add_output_flags(sp, formats=("json",))
-    sp.set_defaults(func=cmd_fit_params)
 
     sp = sub.add_parser("reconstruct", help="six level energies from five frequencies")
     for f in dataclasses.fields(twotone.FiveFrequencies):
         sp.add_argument(f"--{f.name.replace('_', '-')}", type=_positive, required=True)
     _add_output_flags(sp, formats=("json",))
-    sp.set_defaults(func=cmd_reconstruct)
 
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built once per process; it holds no per-call state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except UsageError as exc:
         print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
         return 1
     try:
-        args.func(args)
+        # looked up at call time, so a rebound cmd_* is the one that runs
+        globals()["cmd_" + args.command.replace("-", "_")](args)
     except UsageError as exc:
         print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
         return 1

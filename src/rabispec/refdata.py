@@ -7,6 +7,7 @@ Golden tests and the CLI read expected values from the versioned CSV in
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from importlib import resources
 
@@ -33,7 +34,15 @@ def _parse(value: str):
 
 
 def reference_sets() -> dict[str, ReferenceSet]:
-    """All bundled parameter sets, keyed by their one-letter id."""
+    """All bundled parameter sets, keyed by their one-letter id.
+
+    The CSV is parsed once per process; each call gets its own dict.
+    """
+    return dict(_parsed())
+
+
+@functools.cache
+def _parsed() -> dict[str, ReferenceSet]:
     text = resources.files("rabispec").joinpath("data/circuit_sets.csv").read_text()
     rows = [line for line in text.splitlines() if line and not line.startswith("#")]
     out = {}

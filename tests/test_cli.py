@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rabispec import spectro
+from rabispec import cli, refdata, spectro
 from rabispec.cli import MAX_GRID_POINTS, MAX_PHOTONS, main
 
 
@@ -101,12 +101,66 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (reconstruct + ["--w-g0g1", "nan"], "--w-g0g1"),
         (["shift-curves", "--max-n", str(MAX_PHOTONS + 1)], "--max-n"),
         (["overlap", "--n", str(MAX_PHOTONS + 1)], "--n"),
+        (["overlap", "--grid-stop", "1e300", "--grid-points", "3"], "--grid-stop"),
+        # the default drive window is 25 x --rabi-bc wide, so no grid flag is at fault
+        (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "1e300"], "--rabi-bc"),
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
         assert err.startswith("error: usage:")
         assert named in err, argv
         assert err.count("\n") == 1
+
+
+def test_parser_built_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counting_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    twotone = ["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02", "--grid-points", "5"]
+    calls = (
+        twotone,  # default window: the command fills in the namespace's grid flags
+        ["spectrum", "--set", "Z"],
+        twotone + ["--grid-start", "1.6"],
+        twotone,
+    )
+    results = [run_cli(argv, capsys) for argv in calls]
+    assert len(built) == 1
+    assert [code for code, _, _ in results] == [0, 1, 0, 0]
+    assert results[3] == results[0]
+    for argv, result in zip(calls, results):
+        cli._parser.cache_clear()
+        assert run_cli(argv, capsys) == result, argv
+
+
+def test_commands_looked_up_at_call_time(monkeypatch, capsys):
+    argv = ["overlap", "--n", "1", "--grid-points", "3"]
+    expected = run_cli(argv, capsys)  # the parser is built by now
+    seen = []
+    overlap = cli.cmd_overlap
+
+    def recording(args):
+        seen.append(args.n)
+        return overlap(args)
+
+    monkeypatch.setattr(cli, "cmd_overlap", recording)
+    assert run_cli(argv, capsys) == expected
+    assert seen == [1]
+
+
+def test_reference_table_survives_caller_mutation():
+    table = refdata.reference_sets()
+    del table["A"]
+    table["B"] = None
+    again = refdata.reference_sets()
+    assert list(again) == list("ABCDEFGHI")
+    assert again["B"].set_id == "B"
+    assert again is not table
 
 
 SHIFT_CURVES = ("shift-curves",)
