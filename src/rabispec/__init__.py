@@ -2,9 +2,9 @@
 
 Submodules:
 
-- ``specfun``: orthogonal polynomials and displaced-Fock machinery
+- ``specfun``: Laguerre polynomials and normalized Hermite functions
 - ``rabi``:    Hamiltonian construction, LAPACK eigensolves, parity labels
-- ``analytic``: closed-form frequency shifts, cat states, overlap oracle
+- ``analytic``: closed-form frequency shifts, overlap oracle
 - ``levmar``:  Levenberg-Marquardt least squares for the fits
 - ``spectro``: transition maps, hanger lineshape, least-squares fits
 - ``twotone``: driven three-level models and level reconstruction

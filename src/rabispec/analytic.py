@@ -9,8 +9,8 @@ of oppositely displaced Fock states,
 with beta = g/omega, and the photon-number-dependent qubit frequency has
 the closed form  delta_n = delta * exp(-2 beta^2) * L_n(4 beta^2).  The
 same quantity equals the overlap integral of the two displaced-Fock
-wavefunctions, which this module also evaluates by quadrature so that the
-two routes cross-check each other.
+wavefunctions, which this module also evaluates by Gauss-Hermite quadrature
+so that the two routes cross-check each other.
 """
 
 from __future__ import annotations
@@ -20,13 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rabi, specfun
-from .errors import ConvergenceError, TruncationLeakageError
-
-QUADRATURE_POINTS = 4001
-QUADRATURE_MARGIN = 8.0
-# largest norm a cat state may lose to the Fock truncation
-CAT_MAX_LEAKAGE = 1e-6
+from . import specfun
+from .errors import ConvergenceError
 
 
 def _displaced_overlap(n: int, beta):
@@ -43,119 +38,46 @@ def delta_n_closed_form(delta: float, beta: float, n: int) -> float:
     return delta * float(_displaced_overlap(n, beta))
 
 
-def delta_2_zeros() -> tuple[float, float]:
-    """The two couplings beta = g/omega where the two-photon frequency vanishes.
-
-    L_2(4 beta^2) = 0 at 4 beta^2 = 2 -+ sqrt(2), i.e. beta ~ 0.3827, 0.9239.
-    """
-    return (
-        math.sqrt(2.0 - math.sqrt(2.0)) / 2.0,
-        math.sqrt(2.0 + math.sqrt(2.0)) / 2.0,
-    )
-
-
 @dataclass(frozen=True)
 class OverlapResult:
     """Overlap of oppositely displaced n-photon wavepackets, both routes.
 
-    ``value_quadrature`` integrates the normalized wavefunctions on a grid;
-    ``value_closed_form`` is exp(-2 beta^2) L_n(4 beta^2).  The two agree to
-    better than 1e-8 for n <= 5, beta <= 2 (that agreement is the oracle
-    test for the closed form).
+    ``value_quadrature`` integrates the normalized wavefunctions by an exact
+    Gauss-Hermite rule; ``value_closed_form`` is exp(-2 beta^2) L_n(4 beta^2).
+    The two agree to rounding (that agreement is the oracle test for the
+    closed form).
     """
 
     value_quadrature: float
     value_closed_form: float
 
 
-def quadrature_grid(beta: float, num_points: int = QUADRATURE_POINTS) -> np.ndarray:
-    """Coordinate grid wide enough that Gaussian tails are below 1e-14."""
-    half = QUADRATURE_MARGIN + abs(beta)
-    return np.linspace(-half, half, num_points)
+def overlap_integral(n: int, beta: float) -> OverlapResult:
+    """Overlap integral of phi_n(x, -beta) and phi_n(x, +beta).
 
-
-def overlap_integral(n: int, beta: float, num_points: int = QUADRATURE_POINTS) -> OverlapResult:
-    """Overlap integral of phi_n(x, -beta) and phi_n(x, +beta)."""
+    phi_n(x, beta) is the normalized coordinate wavefunction of D(beta)|n>,
+    centered at x = beta.  With u = sqrt(2) x the two wavefunctions are psi_n(u +- sqrt(2) beta),
+    and their product is exp(-u^2) times a polynomial of degree 2n, so the
+    (n+1)-node Gauss-Hermite rule integrates it exactly.  The same rule
+    must integrate psi_n^2 to one; a norm off by more than 1e-8 means the
+    rule or the Hermite functions are broken.
+    """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    x = quadrature_grid(beta, num_points)
-    left = specfun.displaced_fock_wavefunction(n, -beta, x)
-    right = specfun.displaced_fock_wavefunction(n, +beta, x)
-    norm_left = float(np.trapezoid(left * left, x))
-    norm_right = float(np.trapezoid(right * right, x))
-    if abs(norm_left - 1.0) > 1e-8 or abs(norm_right - 1.0) > 1e-8:
+    nodes, weights = np.polynomial.hermite.hermgauss(n + 1)
+    weights = weights * np.exp(nodes * nodes)
+    shift = math.sqrt(2.0) * beta
+    left, right, centered = specfun.hermite_function(
+        n, np.stack([nodes + shift, nodes - shift, nodes])
+    )
+    norm = float(weights @ (centered * centered))
+    if abs(norm - 1.0) > 1e-8:
         raise ConvergenceError(
-            f"quadrature grid does not resolve phi_{n}(x, +-{beta}): "
-            f"norms {norm_left:.12f}, {norm_right:.12f}"
+            f"{nodes.size}-node Gauss-Hermite rule does not normalize phi_{n}: norm {norm:.12f}"
         )
-    value = float(np.trapezoid(left * right, x))
+    value = float(weights @ (left * right))
     closed = float(_displaced_overlap(n, beta))
     return OverlapResult(value_quadrature=value, value_closed_form=closed)
-
-
-@dataclass(frozen=True)
-class CatState:
-    """Cat-like trial eigenstate in the truncated product basis.
-
-    ``amplitudes`` follows the layout of :mod:`rabispec.rabi`; ``leakage``
-    is the norm-squared lost to truncation before renormalization.
-    """
-
-    label: tuple[str, int]
-    beta: float
-    amplitudes: np.ndarray
-    leakage: float
-
-
-def cat_state(
-    params: rabi.CircuitParams,
-    label: tuple[str, int],
-    n_max: int = rabi.DEFAULT_N_MAX,
-) -> CatState:
-    """Construct the displaced-Fock cat approximation to eigenstate |i n>.
-
-    Valid at epsilon = 0 only.  Raises TruncationLeakageError when the
-    truncated basis loses more than CAT_MAX_LEAKAGE of the norm.
-    """
-    kind, n = label
-    if kind not in ("g", "e"):
-        raise ValueError(f"label kind must be 'g' or 'e', got {kind!r}")
-    if n < 0:
-        raise ValueError(f"photon label must be >= 0, got {n}")
-    if params.epsilon != 0.0:
-        raise ValueError("cat states are defined only at epsilon = 0")
-    size = n_max + 1
-    beta = params.beta
-    sign = 1.0 if kind == "g" else -1.0
-    upper = specfun.displaced_fock_vector(n, -beta, size)
-    lower = sign * specfun.displaced_fock_vector(n, +beta, size)
-    amplitudes = np.concatenate([upper, lower]) / math.sqrt(2.0)
-    norm_sq = float(amplitudes @ amplitudes)
-    leakage = 1.0 - norm_sq
-    if leakage > CAT_MAX_LEAKAGE:
-        raise TruncationLeakageError(
-            f"cat state ({kind}, {n}) at beta={beta:.4f} loses {leakage:.3e} "
-            f"of its norm at n_max={n_max}"
-        )
-    return CatState(
-        label=(kind, n),
-        beta=beta,
-        amplitudes=amplitudes / math.sqrt(norm_sq),
-        leakage=leakage,
-    )
-
-
-def cat_state_fidelity(
-    params: rabi.CircuitParams,
-    label: tuple[str, int],
-    n_max: int = rabi.DEFAULT_N_MAX,
-) -> float:
-    """Squared overlap of the cat approximation with the exact eigenstate."""
-    cat = cat_state(params, label, n_max)
-    spec = rabi.solve(params, n_max)
-    labels = rabi.assign_labels(spec, params, max_photon=max(label[1], 1))
-    exact = spec.eigenvectors[:, labels.index(*label)]
-    return float(cat.amplitudes @ exact) ** 2
 
 
 def normalized_shift_curves(beta_grid: np.ndarray, max_n: int = 2) -> np.ndarray:

@@ -28,8 +28,7 @@ SET_IDS = tuple("ABCDEFGHI")
 # largest --grid-points; np.linspace allocates the whole grid before any
 # command looks at it
 MAX_GRID_POINTS = 10**5
-# largest --max-n and --n; shift-curves costs grow as its square, and the
-# overlap normalization overflows a float from n = 171
+# largest --max-n and --n; shift-curves costs grow as its square
 MAX_PHOTONS = 100
 
 
@@ -533,6 +532,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: usage: {_one_line(exc)}", file=sys.stderr)
         return 1
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
     try:
         # looked up at call time, so a rebound cmd_* is the one that runs
         globals()["cmd_" + args.command.replace("-", "_")](args)

@@ -22,9 +22,5 @@ class AmbiguousLabelError(RuntimeError):
         )
 
 
-class TruncationLeakageError(RuntimeError):
-    """A truncated-basis state lost more norm than the allowed leakage."""
-
-
 class IllConditionedDataError(ValueError):
     """Input data cannot constrain the requested fit (e.g. no resonance dip)."""

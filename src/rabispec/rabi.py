@@ -14,10 +14,10 @@ P = sx (-1)^(a^dag a), and each eigenstate carries parity +-1.  Level labels
 |i n> (i in {g, e}, n the real-photon number) are assigned by the parity
 recursion implemented in :func:`assign_labels`.
 
-Eigendecomposition uses LAPACK: at epsilon = 0 each of the two parity
-chains is a real symmetric tridiagonal matrix, solved by
-``scipy.linalg.eigh_tridiagonal``, which keeps the eigenvectors exact parity
-states; at finite bias the dense matrix goes to ``np.linalg.eigh``.
+Eigendecomposition uses LAPACK through ``np.linalg.eigh``: at epsilon = 0
+on each of the two parity chains, real symmetric tridiagonal matrices of
+dimension n_max+1, which keeps the eigenvectors exact parity states; at
+finite bias on the dense matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import AmbiguousLabelError, ConvergenceError
 
@@ -195,10 +194,9 @@ def _assemble_sector_vectors(w_sector: np.ndarray, even: bool) -> np.ndarray:
 def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     """Spectrum of the circuit Hamiltonian at the given truncation.
 
-    At epsilon = 0 the two parity chains are diagonalized separately as
-    tridiagonal matrices, which is faster and keeps forbidden transition
-    matrix elements at the rounding floor; otherwise the full dense matrix
-    is used.
+    At epsilon = 0 the two parity chains are diagonalized separately, which
+    is faster and keeps forbidden transition matrix elements at the
+    rounding floor; otherwise the full dense matrix is used.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -206,25 +204,17 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
         return eigendecompose(build_hamiltonian(params, n_max), n_max=n_max)
     sectors = []
     for even in (True, False):
+        diagonal, off = _parity_chain(params, n_max, even)
+        chain = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
         try:
-            w, v = eigh_tridiagonal(*_parity_chain(params, n_max, even))
+            w, v = np.linalg.eigh(chain)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigh_tridiagonal failed on a parity chain: {exc}") from exc
+            raise ConvergenceError(f"eigh failed on a parity chain: {exc}") from exc
         sectors.append((w, _assemble_sector_vectors(v, even)))
     w, v = _sorted_system(
         np.concatenate([w for w, _ in sectors]), np.hstack([v for _, v in sectors])
     )
     return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
-
-
-def parity_matrix(n_max: int) -> np.ndarray:
-    """Parity operator sx (-1)^(a^dag a) in the product basis."""
-    size = n_max + 1
-    block = np.diag((-1.0) ** np.arange(size))
-    p = np.zeros((2 * size, 2 * size))
-    p[:size, size:] = block
-    p[size:, :size] = block
-    return p
 
 
 def parity_expectation(vector: np.ndarray, n_max: int) -> float:

@@ -1,17 +1,15 @@
-"""Special functions and displaced-Fock-state machinery.
+"""Special functions: Laguerre polynomials and normalized Hermite functions.
 
 Conventions used throughout the toolkit:
 
-- Laguerre and Hermite polynomials follow the physicists' definitions
-  (``L_0 = 1, L_1 = 1 - x``; ``H_0 = 1, H_1 = 2x``) and are evaluated by
-  three-term recurrences, which are numerically stable for the orders
+- Laguerre polynomials follow ``L_0 = 1, L_1 = 1 - x`` and are evaluated by
+  their three-term recurrence, which is numerically stable for the orders
   needed here (n up to a few tens).
-- The oscillator coordinate is ``x = (a + a^dag)/2``, so the vacuum
-  wavefunction is proportional to ``exp(-x^2)`` and a displacement by
-  ``beta`` moves the wavepacket center to ``x = beta``.
-- The displacement operator is ``D(alpha) = exp(alpha a^dag - alpha a)``
-  with real ``alpha``; its sign convention fixes the sign of off-diagonal
-  Fock matrix elements.
+- Hermite functions are the normalized oscillator eigenfunctions
+  ``psi_n(u) = H_n(u) exp(-u^2/2) / sqrt(2^n n! sqrt(pi))`` of the physicists'
+  Hermite polynomials ``H_0 = 1, H_1 = 2u``, so that the squares of
+  ``psi_n`` integrate to one over u.  In the oscillator coordinate
+  ``x = (a + a^dag)/2`` used by the toolkit, ``u = sqrt(2) x``.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 
 def laguerre(n: int, x):
@@ -29,94 +26,31 @@ def laguerre(n: int, x):
     """
     if n < 0:
         raise ValueError(f"polynomial order must be >= 0, got {n}")
-    return genlaguerre(n, 0.0, x)
-
-
-def genlaguerre(n: int, alpha: float, x):
-    """Evaluate the generalized Laguerre polynomial L_n^(alpha)(x)."""
-    if n < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {n}")
     x = np.asarray(x, dtype=float)
     p_prev = np.ones_like(x)
     if n == 0:
         return p_prev[()]
-    p = 1.0 + alpha - x
+    p = 1.0 - x
     for k in range(1, n):
-        p, p_prev = ((2 * k + 1 + alpha - x) * p - (k + alpha) * p_prev) / (k + 1), p
+        p, p_prev = ((2 * k + 1 - x) * p - k * p_prev) / (k + 1), p
     return p[()]
 
 
-def hermite(n: int, x):
-    """Evaluate the physicists' Hermite polynomial H_n(x)."""
-    if n < 0:
-        raise ValueError(f"polynomial order must be >= 0, got {n}")
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev[()]
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h[()]
+def hermite_function(n: int, u):
+    """Evaluate the normalized Hermite function psi_n(u).
 
-
-def displaced_fock_wavefunction(n: int, beta: float, x):
-    """Coordinate wavefunction of the displaced Fock state D(beta)|n>.
-
-    Returns the normalized real wavefunction
-
-        phi_n(x, beta) = N_n * exp(-(x-beta)^2) * H_n(sqrt(2) (x-beta))
-
-    with N_n chosen so that the squared wavefunction integrates to one.
+    Runs the recurrence of the psi_k themselves, starting from
+    ``psi_0 = pi^(-1/4) exp(-u^2/2)``, so neither H_n nor the normalization
+    sqrt(2^n n!) is ever formed and nothing overflows for n in the hundreds.
     """
     if n < 0:
-        raise ValueError(f"photon number must be >= 0, got {n}")
-    u = np.asarray(x, dtype=float) - beta
-    norm = (2.0 / math.pi) ** 0.25 / math.sqrt(2.0**n * math.factorial(n))
-    return norm * np.exp(-(u**2)) * hermite(n, math.sqrt(2.0) * u)
-
-
-def displacement_matrix_element(m: int, n: int, alpha: float) -> float:
-    """Fock matrix element <m|D(alpha)|n> of the displacement operator.
-
-    Uses the associated-Laguerre closed form; for real alpha the result is
-    real.  Log-space magnitudes keep the factorial ratio well-behaved for
-    large index differences.
-    """
-    if m < 0 or n < 0:
-        raise ValueError("Fock indices must be >= 0")
-    if not math.isfinite(alpha):
-        raise ValueError(f"displacement must be finite, got {alpha}")
-    lo, hi = min(m, n), max(m, n)
-    k = hi - lo
-    if k == 0:
-        return math.exp(-0.5 * alpha * alpha) * float(genlaguerre(lo, 0.0, alpha * alpha))
-    if alpha == 0.0:
-        return 0.0
-    # <m|D|n> carries alpha^(m-n) for m>=n and (-alpha)^(n-m) otherwise
-    signed = alpha if m >= n else -alpha
-    sign = -1.0 if (signed < 0 and k % 2 == 1) else 1.0
-    log_mag = (
-        0.5 * (math.lgamma(lo + 1) - math.lgamma(hi + 1))
-        + k * math.log(abs(signed))
-        - 0.5 * alpha * alpha
-    )
-    lag = float(genlaguerre(lo, float(k), alpha * alpha))
-    return sign * math.exp(log_mag) * lag
-
-
-def displaced_fock_vector(n: int, alpha: float, dim: int) -> np.ndarray:
-    """Fock-basis amplitudes of D(alpha)|n> truncated to ``dim`` components."""
-    return np.array([displacement_matrix_element(m, n, alpha) for m in range(dim)])
-
-
-def displacement_operator(alpha: float, dim: int) -> np.ndarray:
-    """Dense truncated displacement operator via the matrix exponential.
-
-    Independent of the closed form above; the two routes agree to 1e-10
-    on low Fock indices once ``dim`` comfortably exceeds them.
-    """
-    if dim < 1:
-        raise ValueError(f"dimension must be >= 1, got {dim}")
-    a = np.diag(np.sqrt(np.arange(1, dim)), 1)
-    return expm(alpha * (a.T - a))
+        raise ValueError(f"function order must be >= 0, got {n}")
+    u = np.asarray(u, dtype=float)
+    psi_prev = np.zeros_like(u)
+    psi = math.pi**-0.25 * np.exp(-0.5 * u * u)
+    for k in range(n):
+        psi, psi_prev = (
+            math.sqrt(2.0 / (k + 1)) * u * psi - math.sqrt(k / (k + 1)) * psi_prev,
+            psi,
+        )
+    return psi[()]

@@ -52,16 +52,24 @@ def test_shift_table_json(capsys):
 
 
 def test_byte_identical_reruns(capsys):
-    args = ["shift-curves", "--grid-points", "17"]
-    code1, out1, _ = run_cli(args, capsys)
-    code2, out2, _ = run_cli(args, capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    args = ["spectrum", "--set", "B", "--grid-points", "5", "--format", "json"]
-    code1, out1, _ = run_cli(args, capsys)
-    code2, out2, _ = run_cli(args, capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2
+    for args in (
+        ["shift-curves", "--grid-points", "17"],
+        ["spectrum", "--set", "B", "--grid-points", "5", "--format", "json"],
+        # a 100-photon packet reaches far beyond a fixed quadrature window
+        ["overlap", "--n", "100", "--grid-points", "7"],
+    ):
+        code1, out1, _ = run_cli(args, capsys)
+        code2, out2, _ = run_cli(args, capsys)
+        assert code1 == code2 == 0, args
+        assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["overlap", "--help"]])
+def test_help_returns_zero(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0
+    assert out.startswith(" ".join(["usage: rabispec"] + argv[:-1]))
+    assert err == ""
 
 
 def test_usage_errors_exit_one(tmp_path, capsys):
@@ -274,6 +282,64 @@ def test_shift_curves_contains_measured_points(capsys):
     assert float(b[2]) == pytest.approx(5.41 / 6.296, rel=1e-9)
     assert float(b[4]) == pytest.approx(-0.452 / 1.01, rel=1e-6)
     assert measured["A"][5] == ""  # no two-photon value for set A
+
+
+NO_SCIPY = """
+import contextlib, importlib.abc, io, json, sys
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r}")
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy  # noqa: F401
+except ModuleNotFoundError:
+    pass
+else:
+    sys.exit("the finder did not block scipy")
+from rabispec import cli
+
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps(codes))
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    import subprocess
+    import sys
+    from importlib import resources
+
+    truth = spectro.LineshapeParams(omega0=6.08, q_total=9e3, q_external=1.3e4, phi=0.25)
+    w = np.linspace(6.08 * (1 - 50 / 9e3), 6.08 * (1 + 50 / 9e3), 120)
+    s21 = tmp_path / "s21.csv"
+    s21.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n" + "".join(
+        f"0.0,{float(wi)!r},{float(abs(yi))!r}\n" for wi, yi in zip(w, spectro.s21(truth, w))
+    ))
+    transitions = resources.files("rabispec").joinpath("data/synthetic_transitions.csv")
+    calls = [
+        ["shift-table"],
+        ["shift-curves", "--grid-points", "5"],
+        ["spectrum", "--set", "H", "--grid-points", "3"],
+        ["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02", "--grid-points", "5"],
+        ["overlap", "--n", "2", "--grid-points", "5"],
+        ["fit-s21", "--input", str(s21), "--degree", "0"],
+        ["fit-params", "--input", str(transitions), "--init-delta", "1.2",
+         "--init-omega", "6.4", "--init-g", "0.5"],
+        ["reconstruct", "--w-g0g1", "1.75", "--w-g0g2", "1.21875", "--w-e0e1", "1.105",
+         "--w-e0e2", "1.59175", "--w-g0e1", "1.232"],
+    ]
+    commands = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+    assert {argv[0] for argv in calls} == commands
+    run = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, json.dumps(calls)], capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == [0] * len(calls), run.stderr
 
 
 def test_byte_identical_across_processes(tmp_path):

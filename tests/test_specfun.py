@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.special import eval_genlaguerre
+from scipy.special import eval_laguerre
 
 from rabispec import specfun
 
@@ -57,113 +57,81 @@ def test_laguerre_matches_exact_rational_evaluation():
             assert got == pytest.approx(exact, rel=1e-10, abs=1e-13)
 
 
+def hermite_function_exact(n, u):
+    """psi_n(u) from the exact rational H_n(u) and a float normalization."""
+    h = float(eval_exact(hermite_coefficients(n), Fraction(u)))
+    return h * math.exp(-0.5 * u * u) / math.sqrt(2.0**n * math.factorial(n) * math.sqrt(math.pi))
+
+
 def test_hermite_low_order_values():
-    assert specfun.hermite(0, 0.9) == 1.0
-    assert specfun.hermite(1, 0.5) == 1.0
-    assert specfun.hermite(2, 1.0) == 2.0
+    assert specfun.hermite_function(0, 0.0) == pytest.approx(math.pi**-0.25, rel=1e-15)
+    # H_1(0.5) = 1 and H_2(1) = 2
+    assert specfun.hermite_function(1, 0.5) == pytest.approx(
+        math.exp(-0.125) / math.sqrt(2.0 * math.sqrt(math.pi)), rel=1e-15
+    )
+    assert specfun.hermite_function(2, 1.0) == pytest.approx(
+        2.0 * math.exp(-0.5) / math.sqrt(8.0 * math.sqrt(math.pi)), rel=1e-15
+    )
 
 
 def test_hermite_matches_exact_rational_evaluation():
     for n in range(11):
-        coeffs = hermite_coefficients(n)
-        for x in np.linspace(-4.0, 4.0, 17):
-            exact = float(eval_exact(coeffs, Fraction(float(x))))
-            got = float(specfun.hermite(n, float(x)))
-            assert got == pytest.approx(exact, rel=1e-10, abs=1e-10)
+        for u in np.linspace(-4.0, 4.0, 17):
+            want = hermite_function_exact(n, float(u))
+            got = float(specfun.hermite_function(n, float(u)))
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
 
 
-def test_genlaguerre_against_scipy():
-    for n in range(8):
-        for alpha in (0, 1, 3, 7):
-            x = np.linspace(0.0, 12.0, 25)
-            got = specfun.genlaguerre(n, float(alpha), x)
-            want = eval_genlaguerre(n, alpha, x)
-            assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
+def test_laguerre_against_scipy():
+    for n in (0, 1, 2, 5, 8, 20, 40):
+        x = np.linspace(0.0, 12.0, 25)
+        got = specfun.laguerre(n, x)
+        want = eval_laguerre(n, x)
+        assert np.allclose(got, want, rtol=1e-10, atol=1e-12)
 
 
 def test_polynomials_reject_negative_order():
     with pytest.raises(ValueError):
         specfun.laguerre(-1, 0.0)
     with pytest.raises(ValueError):
-        specfun.hermite(-2, 0.0)
+        specfun.hermite_function(-2, 0.0)
 
 
 def test_wavefunction_ground_state_normalized():
-    x = np.linspace(-8.0, 8.0, 4001)
-    phi = specfun.displaced_fock_wavefunction(0, 0.0, x)
-    assert abs(np.trapezoid(phi * phi, x) - 1.0) < 1e-10
+    u = np.linspace(-12.0, 12.0, 4001)
+    psi = specfun.hermite_function(0, u)
+    assert abs(np.trapezoid(psi * psi, u) - 1.0) < 1e-10
 
 
 def test_wavefunction_two_photon_node_count():
-    x = np.linspace(-6.0, 6.0, 2001)
-    phi = specfun.displaced_fock_wavefunction(2, 0.0, x)
-    sign_changes = int(np.sum(np.abs(np.diff(np.sign(phi))) > 1))
-    assert sign_changes == 2
+    # psi_n has exactly n nodes; an even point count keeps u = 0 off the grid
+    u = np.linspace(-12.0, 12.0, 4000)
+    for n in range(8):
+        psi = specfun.hermite_function(n, u)
+        sign_changes = int(np.sum(np.abs(np.diff(np.sign(psi))) > 1))
+        assert sign_changes == n
 
 
 def test_wavefunction_vanishes_at_displaced_center():
-    # H_1 is odd, so phi_1 has its node exactly at the displacement
-    assert specfun.displaced_fock_wavefunction(1, 0.5, 0.5) == 0.0
+    # psi_n has the parity of n, so the odd ones vanish exactly at the
+    # center of the (displaced) packet
+    u = np.linspace(-3.0, 3.0, 13)
+    for n in range(8):
+        psi = specfun.hermite_function(n, u)
+        assert np.array_equal(specfun.hermite_function(n, -u), (-1) ** n * psi)
+    for n in (1, 3, 5, 99):
+        assert specfun.hermite_function(n, 0.5 - 0.5) == 0.0
 
 
 @pytest.mark.parametrize("beta", [0.0, 0.7])
 def test_wavefunction_orthonormality(beta):
-    x = np.linspace(-8.0 - beta, 8.0 + beta, 4001)
-    funcs = [specfun.displaced_fock_wavefunction(n, beta, x) for n in range(6)]
-    for m in range(6):
-        for n in range(6):
-            overlap = np.trapezoid(funcs[m] * funcs[n], x)
-            assert abs(overlap - (1.0 if m == n else 0.0)) < 1e-8
-
-
-def test_displacement_vacuum_element():
-    for alpha in (-1.5, -0.3, 0.0, 0.8, 2.0):
-        want = math.exp(-0.5 * alpha * alpha)
-        assert specfun.displacement_matrix_element(0, 0, alpha) == pytest.approx(
-            want, rel=1e-13
-        )
-
-
-def test_displacement_identity_at_zero():
-    for n in range(11):
-        assert specfun.displacement_matrix_element(n, n, 0.0) == 1.0
-    assert specfun.displacement_matrix_element(3, 7, 0.0) == 0.0
-
-
-def test_displacement_sign_convention():
-    # D(alpha)|1> projected on vacuum carries a minus sign for alpha > 0
-    got = specfun.displacement_matrix_element(0, 1, 1.0)
-    assert abs(got - (-math.exp(-0.5))) < 1e-6
-
-
-def test_displacement_closed_form_matches_matrix_exponential():
-    worst = 0.0
-    for alpha in (-2.0, -1.2, -0.5, 0.3, 1.0, 1.7, 2.0):
-        dense = specfun.displacement_operator(alpha, 64)
-        for m in range(11):
-            for n in range(11):
-                closed = specfun.displacement_matrix_element(m, n, alpha)
-                worst = max(worst, abs(closed - dense[m, n]))
-    assert worst < 1e-10
-
-
-@pytest.mark.parametrize("alpha", [-1.5, 0.5, 1.0, 1.5])
-def test_displacement_truncated_unitarity(alpha):
-    size = 31  # indices 0..30
-    d = np.array(
-        [
-            [specfun.displacement_matrix_element(m, n, alpha) for n in range(size)]
-            for m in range(size)
-        ]
-    )
-    defect = d.T @ d - np.eye(size)
-    assert np.linalg.norm(defect[:10, :10]) < 1e-6
-
-
-def test_displacement_rejects_bad_input():
-    with pytest.raises(ValueError):
-        specfun.displacement_matrix_element(-1, 0, 0.5)
-    with pytest.raises(ValueError):
-        specfun.displacement_matrix_element(0, 0, float("inf"))
-    with pytest.raises(ValueError):
-        specfun.displacement_operator(0.5, 0)
+    # low orders, and the highest orders the overlap command reaches, which
+    # H_n^2 / (2^n n!) would overflow
+    shift = math.sqrt(2.0) * beta
+    u = np.linspace(-22.0 + shift, 22.0 + shift, 8001)
+    orders = (0, 1, 2, 3, 4, 5, 97, 98, 99, 100)
+    funcs = [specfun.hermite_function(n, u - shift) for n in orders]
+    for i in range(len(orders)):
+        for j in range(len(orders)):
+            overlap = np.trapezoid(funcs[i] * funcs[j], u)
+            assert abs(overlap - (1.0 if i == j else 0.0)) < 1e-8
