@@ -15,6 +15,7 @@ so that the two routes cross-check each other.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,6 +28,20 @@ from .errors import ConvergenceError
 def _displaced_overlap(n: int, beta):
     """exp(-2 beta^2) L_n(4 beta^2) for scalar or array beta, unvalidated."""
     return np.exp(-2.0 * beta * beta) * specfun.laguerre(n, 4.0 * beta * beta)
+
+
+@functools.cache
+def _hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (n+1)-node Gauss-Hermite nodes and weights times e^(x^2).
+
+    Built once per photon number; the CLI caps n at ``cli.MAX_PHOTONS``, so
+    it holds at most MAX_PHOTONS + 1 rules.
+    """
+    nodes, weights = np.polynomial.hermite.hermgauss(n + 1)
+    weights = weights * np.exp(nodes * nodes)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 def delta_n_closed_form(delta: float, beta: float, n: int) -> float:
@@ -64,8 +79,7 @@ def overlap_integral(n: int, beta: float) -> OverlapResult:
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
-    nodes, weights = np.polynomial.hermite.hermgauss(n + 1)
-    weights = weights * np.exp(nodes * nodes)
+    nodes, weights = _hermite_rule(n)
     shift = math.sqrt(2.0) * beta
     left, right, centered = specfun.hermite_function(
         n, np.stack([nodes + shift, nodes - shift, nodes])

@@ -84,31 +84,17 @@ def _write(text: str, path: str | None):
 
 
 def _render_table(args, command, header, rows, fmt=FLOAT_FMT, plot=None):
-    """Write a table as ``--format`` asks; argparse offers svg only with a plot."""
+    """Write a table as ``--format`` asks; argparse offers svg only with a plot.
+
+    ``plot`` holds the keyword arguments of :func:`svgplot.line_plot_svg`
+    other than ``csv_text``, which is the table's CSV form.
+    """
     if args.format == "csv":
         _write(_table_csv(header, rows, fmt), args.out)
     elif args.format == "json":
         _write(_table_json(command, header, rows, fmt), args.out)
     else:
-        csv_text = _table_csv(header, rows, fmt)
-        _write(_plot_svg(plot, header, rows, csv_text), args.out)
-
-
-def _plot_svg(plot, header, rows, csv_text) -> str:
-    index = {name: i for i, name in enumerate(header)}
-
-    def column(name):
-        col = index[name]
-        return np.array(
-            [row[col] if isinstance(row[col], (int, float)) else np.nan for row in rows],
-            dtype=float,
-        )
-
-    series = [(label, column(x), column(y)) for label, x, y in plot["series"]]
-    points = plot.get("points", ())
-    return svgplot.line_plot_svg(
-        plot["title"], plot["xlabel"], plot["ylabel"], series, points, csv_text
-    )
+        _write(svgplot.line_plot_svg(csv_text=_table_csv(header, rows, fmt), **plot), args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -290,9 +276,7 @@ def cmd_shift_curves(args):
         "title": "normalized qubit frequency vs coupling",
         "xlabel": "g/omega",
         "ylabel": "delta_n/delta",
-        "series": [
-            (f"n={n}", "beta", f"d{n}_over_delta") for n in range(args.max_n + 1)
-        ],
+        "series": [(f"n={n}", curves[:, 0], curves[:, n + 1]) for n in range(args.max_n + 1)],
         "points": points,
     }
     _render_table(args, "shift-curves", header, rows, plot=plot)
@@ -318,7 +302,7 @@ def cmd_spectrum(args):
         "title": "transition frequencies vs bias",
         "xlabel": "epsilon (GHz)",
         "ylabel": "frequency (GHz)",
-        "series": [(f"{k}-{l}", "epsilon_ghz", f"f{k}{l}_ghz") for k, l in pairs],
+        "series": [(f"{k}-{l}", grid, freqs[(k, l)]) for k, l in pairs],
     }
     _render_table(args, "spectrum", header, rows, plot=plot)
 
@@ -351,10 +335,7 @@ def cmd_twotone(args):
         "title": f"two-tone branches, panel {args.panel}",
         "xlabel": "drive frequency (GHz)",
         "ylabel": "probe frequency (GHz)",
-        "series": [
-            ("lower", "omega_d_ghz", "branch_lo_ghz"),
-            ("upper", "omega_d_ghz", "branch_hi_ghz"),
-        ],
+        "series": [("lower", grid, branch_lo), ("upper", grid, branch_hi)],
     }
     _render_table(args, "twotone", header, rows, plot=plot)
 
@@ -366,17 +347,17 @@ def cmd_overlap(args):
         raise UsageError("overlap grid must start at beta >= 0")
     ref = analytic.overlap_integral(args.n, 0.0).value_quadrature
     header = ["beta", "overlap_quadrature", "overlap_closed_form", "ratio_to_zero_coupling"]
-    rows = []
+    rows, ratio = [], []
     with _grid_overflow(args, f"the {args.n}-photon overlap overflows on the beta grid"):
         for beta in grid:
             res = analytic.overlap_integral(args.n, float(beta))
-            value = res.value_quadrature
-            rows.append([float(beta), value, res.value_closed_form, value / ref])
+            ratio.append(res.value_quadrature / ref)
+            rows.append([float(beta), res.value_quadrature, res.value_closed_form, ratio[-1]])
     plot = {
         "title": f"overlap of oppositely displaced {args.n}-photon packets",
         "xlabel": "g/omega",
         "ylabel": "overlap",
-        "series": [("ratio", "beta", "ratio_to_zero_coupling")],
+        "series": [("ratio", grid, ratio)],
     }
     _render_table(args, "overlap", header, rows, plot=plot)
 

@@ -17,7 +17,9 @@ recursion implemented in :func:`assign_labels`.
 Eigendecomposition uses LAPACK through ``np.linalg.eigh``: at epsilon = 0
 on each of the two parity chains, real symmetric tridiagonal matrices of
 dimension n_max+1, which keeps the eigenvectors exact parity states; at
-finite bias on the dense matrix.
+finite bias on the dense matrix.  Eigenvectors keep LAPACK's sign; no sign
+convention is imposed, since every quantity read from them (|matrix
+elements|, parities) is sign-free.
 """
 
 from __future__ import annotations
@@ -132,21 +134,11 @@ def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.n
     return h
 
 
-def _sorted_system(w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    v = v[:, order]
-    peaks = np.argmax(np.abs(v), axis=0)
-    signs = np.sign(v[peaks, np.arange(v.shape[1])])
-    signs[signs == 0] = 1.0
-    return w, v * signs
-
-
 def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
     """Decompose a real symmetric matrix into a :class:`Spectrum` (LAPACK).
 
-    Eigenvalues ascend; each eigenvector's largest-magnitude component is
-    made positive for determinism.
+    Eigenvalues ascend; each eigenvector carries whatever sign LAPACK gave
+    it.  The eigenvector columns are contiguous (Fortran order).
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -159,36 +151,7 @@ def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
         w, v = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed on a {a.shape} matrix: {exc}") from exc
-    w, v = _sorted_system(w, v)
-    return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
-
-
-def _parity_chain(params: CircuitParams, n_max: int, even: bool):
-    """Diagonal and off-diagonal of one parity sector's tridiagonal chain.
-
-    In the rotated (qubit-energy) basis the sector basis vector at chain
-    coordinate k pairs qubit state g (k even) or e (k odd) with Fock state
-    |k> for the even sector, and the opposite qubit assignment for the odd
-    sector.
-    """
-    k = np.arange(n_max + 1)
-    qubit_sign = np.where(k % 2 == 0, -1.0, 1.0)
-    if not even:
-        qubit_sign = -qubit_sign
-    return params.omega * k + 0.5 * params.delta * qubit_sign, params.g * np.sqrt(k[1:])
-
-
-def _assemble_sector_vectors(w_sector: np.ndarray, even: bool) -> np.ndarray:
-    """Lift parity-chain eigenvectors back to the full product basis."""
-    size, count = w_sector.shape
-    k = np.arange(size)
-    qubit_sign = np.where(k % 2 == 0, 1.0, -1.0)
-    if not even:
-        qubit_sign = -qubit_sign
-    full = np.empty((2 * size, count))
-    full[:size] = _SQRT_HALF * w_sector
-    full[size:] = _SQRT_HALF * qubit_sign[:, None] * w_sector
-    return full
+    return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
 
 
 def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
@@ -197,24 +160,33 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     At epsilon = 0 the two parity chains are diagonalized separately, which
     is faster and keeps forbidden transition matrix elements at the
     rounding floor; otherwise the full dense matrix is used.
+
+    In the rotated (qubit-energy) basis, even-sector chain coordinate k pairs
+    qubit g (k even) or e (k odd) with Fock state |k>; the odd sector swaps g
+    and e.  A chain vector c lifts to (c, sign * c)/sqrt(2), sign +1 on g.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if params.epsilon != 0.0:
         return eigendecompose(build_hamiltonian(params, n_max), n_max=n_max)
-    sectors = []
-    for even in (True, False):
-        diagonal, off = _parity_chain(params, n_max, even)
+    k = np.arange(n_max + 1)
+    off = params.g * np.sqrt(k[1:])
+    even_sign = np.where(k % 2 == 0, 1.0, -1.0)
+    values, vectors = [], []
+    for sign in (even_sign, -even_sign):
+        diagonal = params.omega * k - 0.5 * params.delta * sign
         chain = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
         try:
             w, v = np.linalg.eigh(chain)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"eigh failed on a parity chain: {exc}") from exc
-        sectors.append((w, _assemble_sector_vectors(v, even)))
-    w, v = _sorted_system(
-        np.concatenate([w for w, _ in sectors]), np.hstack([v for _, v in sectors])
-    )
-    return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
+        half = _SQRT_HALF * v
+        values.append(w)
+        vectors.append(np.vstack([half, sign[:, None] * half]))
+    w = np.concatenate(values)
+    order = np.argsort(w, kind="stable")
+    v = np.asfortranarray(np.hstack(vectors)[:, order])
+    return Spectrum(eigenvalues=w[order], eigenvectors=v, n_max=n_max)
 
 
 def parity_expectation(vector: np.ndarray, n_max: int) -> float:

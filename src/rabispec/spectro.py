@@ -72,10 +72,7 @@ class BackgroundPoly:
 
     def __call__(self, omega_p):
         u = np.asarray(omega_p, dtype=float) - self.center
-        out = np.zeros_like(u)
-        for c in reversed(self.coefficients):
-            out = out * u + c
-        return out[()]
+        return np.polynomial.polynomial.polyval(u, self.coefficients)[()]
 
 
 @dataclass(frozen=True)

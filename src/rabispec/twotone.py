@@ -44,19 +44,17 @@ class ThreeLevelDrive:
     omega_b: float
     omega_c: float
     rabi_bc: float
-    ordering: str
 
     def __post_init__(self):
-        if self.ordering not in ORDERINGS:
-            raise ValueError(f"ordering must be one of {ORDERINGS}, got {self.ordering!r}")
         if not self.omega_a < min(self.omega_b, self.omega_c):
             raise ValueError("level a must lie below both b and c")
         if self.rabi_bc < 0:
             raise ValueError(f"drive coupling must be >= 0, got {self.rabi_bc}")
-        if self.ordering == "b_below_c" and self.omega_b > self.omega_c:
-            raise ValueError("ordering 'b_below_c' requires omega_b <= omega_c")
-        if self.ordering == "c_below_b" and self.omega_c > self.omega_b:
-            raise ValueError("ordering 'c_below_b' requires omega_c <= omega_b")
+
+    @property
+    def ordering(self) -> str:
+        """Which of b and c lies lower, one of ORDERINGS; a tie reads 'b_below_c'."""
+        return "b_below_c" if self.omega_b <= self.omega_c else "c_below_b"
 
     @property
     def drive_resonance(self) -> float:
@@ -176,7 +174,4 @@ def twotone_linemap(
     spec = rabi.solve(params, n_max)
     labels = rabi.assign_labels(spec, params, max_photon=2)
     e_a, e_b, e_c = (labels.energy(i, n) for i, n in PANEL_TRIPLES[panel])
-    ordering = "b_below_c" if e_b <= e_c else "c_below_b"
-    return ThreeLevelDrive(
-        omega_a=e_a, omega_b=e_b, omega_c=e_c, rabi_bc=rabi_bc, ordering=ordering
-    )
+    return ThreeLevelDrive(omega_a=e_a, omega_b=e_b, omega_c=e_c, rabi_bc=rabi_bc)

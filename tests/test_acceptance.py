@@ -245,7 +245,6 @@ def _random_drive(rng, ordering):
         omega_b=omega_b,
         omega_c=omega_c,
         rabi_bc=rng.uniform(0.005, 0.1),
-        ordering=ordering,
     )
 
 

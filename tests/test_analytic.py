@@ -75,12 +75,37 @@ def test_overlap_two_photon_extrema():
     assert b_max == pytest.approx(1.27, abs=2e-3)
 
 
-def test_overlap_reports_bad_quadrature(monkeypatch):
+@pytest.fixture
+def fresh_rules():
+    """An empty Gauss-Hermite rule cache, emptied again afterwards."""
+    analytic._hermite_rule.cache_clear()
+    yield
+    analytic._hermite_rule.cache_clear()
+
+
+def test_overlap_reports_bad_quadrature(monkeypatch, fresh_rules):
     # a rule one node short cannot integrate psi_n^2 exactly
     hermgauss = np.polynomial.hermite.hermgauss
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda deg: hermgauss(deg - 1))
     with pytest.raises(ConvergenceError):
         analytic.overlap_integral(5, 2.0)
+
+
+def test_overlap_rule_built_once_per_order(monkeypatch, fresh_rules):
+    hermgauss = np.polynomial.hermite.hermgauss
+    orders = []
+
+    def counting(deg):
+        orders.append(deg)
+        return hermgauss(deg)
+
+    monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
+    first = analytic.overlap_integral(7, 0.4)
+    second = analytic.overlap_integral(7, 0.9)
+    assert orders == [8]
+    assert first != second
+    nodes, weights = analytic._hermite_rule(7)
+    assert not nodes.flags.writeable and not weights.flags.writeable
 
 
 def test_shift_curves_rows():

@@ -355,12 +355,25 @@ def test_byte_identical_across_processes(tmp_path):
 
 
 def test_shift_curves_svg_renders_points(tmp_path):
+    # each curve is one polyline over the grid; measured values are only points
+    svg = "{http://www.w3.org/2000/svg}"
     path = tmp_path / "curves.svg"
     assert main(["shift-curves", "--grid-points", "9", "--format", "svg",
                  "--out", str(path)]) == 0
     root = ET.parse(path).getroot()
-    circles = root.findall("{http://www.w3.org/2000/svg}circle")
-    assert len(circles) >= 26  # 9 sets x 3 shifts, minus set A's missing one
+    _, rows = parse_csv(root.find(svg + "desc").text)
+    measured = [v for r in rows if r[0] == "measured" for v in r[3:] if v]
+    legend = {t.text: t.get("fill") for t in root.iter(svg + "text") if t.get("fill")}
+    lines = {}
+    for line in root.iter(svg + "polyline"):
+        lines.setdefault(line.get("stroke"), []).append(line.get("points").split())
+    assert sorted(legend) == ["n=0", "n=1", "n=2"]
+    for color in legend.values():
+        assert [len(vertices) for vertices in lines.pop(color)] == [9]
+    assert not lines
+    circles = list(root.iter(svg + "circle"))
+    assert len(circles) == len(measured) == 26  # 9 sets x 3 shifts, minus set A's d2
+    assert {c.get("fill") for c in circles} == {"black"}
 
 
 def test_svg_well_formed_and_embeds_csv(tmp_path, capsys):

@@ -123,6 +123,14 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
             rabi.solve(p, 10)
 
 
+def test_eigenvector_columns_contiguous():
+    # contiguous columns keep the dot products of matrix elements in one
+    # summation order on both solver paths
+    for epsilon in (0.0, 0.3):
+        p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=epsilon)
+        assert rabi.solve(p, 12).eigenvectors.flags.f_contiguous
+
+
 def test_blocked_and_dense_paths_agree():
     p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27)
     blocked = rabi.solve(p, 40)

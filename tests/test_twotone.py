@@ -8,19 +8,21 @@ from rabispec import rabi, twotone
 
 def _drive(ordering, rabi_bc=0.02):
     if ordering == "b_below_c":
-        return twotone.ThreeLevelDrive(0.0, 5.7, 11.3, rabi_bc, ordering)
-    return twotone.ThreeLevelDrive(0.0, 5.7, 5.2, rabi_bc, ordering)
+        return twotone.ThreeLevelDrive(0.0, 5.7, 11.3, rabi_bc)
+    return twotone.ThreeLevelDrive(0.0, 5.7, 5.2, rabi_bc)
 
 
 def test_drive_validation():
     with pytest.raises(ValueError):
-        twotone.ThreeLevelDrive(6.0, 5.7, 11.3, 0.1, "b_below_c")  # a not lowest
+        twotone.ThreeLevelDrive(6.0, 5.7, 11.3, 0.1)  # a not lowest
     with pytest.raises(ValueError):
-        twotone.ThreeLevelDrive(0.0, 5.7, 11.3, -0.1, "b_below_c")
-    with pytest.raises(ValueError):
-        twotone.ThreeLevelDrive(0.0, 5.7, 5.2, 0.1, "b_below_c")  # wrong ordering
-    with pytest.raises(ValueError):
-        twotone.ThreeLevelDrive(0.0, 5.7, 11.3, 0.1, "sideways")
+        twotone.ThreeLevelDrive(0.0, 5.7, 11.3, -0.1)
+
+
+def test_equal_b_c_reads_b_below_c():
+    tld = twotone.ThreeLevelDrive(0.0, 5.7, 5.7, 0.02)
+    assert tld.ordering == "b_below_c"
+    assert tld.drive_resonance == 0.0
 
 
 def test_on_resonance_splitting():
@@ -138,9 +140,8 @@ def test_minimum_gap_closed_form():
             omega_c = omega_b - omega_bc
             if (ordering == "b_below_c") != (omega_b <= omega_c):
                 omega_b, omega_c = omega_c, omega_b
-            tld = twotone.ThreeLevelDrive(
-                0.0, omega_b, omega_c, rng.uniform(0.005, 0.08), ordering
-            )
+            tld = twotone.ThreeLevelDrive(0.0, omega_b, omega_c, rng.uniform(0.005, 0.08))
+            assert tld.ordering == ordering
             gap, at = twotone.minimum_branch_gap(tld)
             assert abs(gap - 2.0 * tld.rabi_bc) < 1e-9
             assert at == pytest.approx(tld.drive_resonance, abs=1e-6)
