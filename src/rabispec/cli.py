@@ -9,10 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import sys
@@ -47,32 +45,10 @@ class _Parser(argparse.ArgumentParser):
 # output plumbing
 
 
-def _fmt(value, fmt=FLOAT_FMT) -> str:
-    if value is None:
-        return ""
+def _cell(value, fmt=FLOAT_FMT) -> str:
     if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return fmt % value
-    return str(value)
-
-
-def _table_csv(header, rows, fmt=FLOAT_FMT) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v, fmt) for v in row])
-    return out.getvalue()
-
-
-def _table_json(command, header, rows, fmt=FLOAT_FMT) -> str:
-    body = {
-        "command": command,
-        "columns": list(header),
-        "rows": [[None if _fmt(v, fmt) == "" else v for v in row] for row in rows],
-    }
-    return json.dumps(body, indent=2) + "\n"
+        return "" if math.isnan(value) else fmt % value
+    return "" if value is None else str(value)
 
 
 def _write(text: str, path: str | None):
@@ -86,15 +62,25 @@ def _write(text: str, path: str | None):
 def _render_table(args, command, header, rows, fmt=FLOAT_FMT, plot=None):
     """Write a table as ``--format`` asks; argparse offers svg only with a plot.
 
-    ``plot`` holds the keyword arguments of :func:`svgplot.line_plot_svg`
-    other than ``csv_text``, which is the table's CSV form.
+    ``rows`` is a list of rows or a 2-d float array.  Each cell is formatted
+    once: a float prints with ``fmt``; NaN, None and "" print as a blank cell,
+    ``null`` in JSON; any other value prints with ``str``.  No header or cell
+    holds a comma, a quote or a newline, so the CSV is the cells joined with
+    "," and needs no quoting.  ``plot`` holds the keyword arguments of
+    :func:`svgplot.line_plot_svg` other than ``csv_text``, which is that CSV.
     """
-    if args.format == "csv":
-        _write(_table_csv(header, rows, fmt), args.out)
-    elif args.format == "json":
-        _write(_table_json(command, header, rows, fmt), args.out)
-    else:
-        _write(svgplot.line_plot_svg(csv_text=_table_csv(header, rows, fmt), **plot), args.out)
+    if isinstance(rows, np.ndarray):
+        rows = rows.tolist()
+    cells = [[_cell(v, fmt) for v in row] for row in rows]
+    if args.format == "json":
+        nulled = [[v if c else None for v, c in zip(row, texts)] for row, texts in zip(rows, cells)]
+        body = {"command": command, "columns": list(header), "rows": nulled}
+        _write(json.dumps(body, indent=2) + "\n", args.out)
+        return
+    text = "".join(",".join(line) + "\n" for line in [header, *cells])
+    if args.format == "svg":
+        text = svgplot.line_plot_svg(csv_text=text, **plot)
+    _write(text, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +247,7 @@ def cmd_shift_curves(args):
     with _grid_overflow(args, what):
         curves = analytic.normalized_shift_curves(grid, args.max_n)
     header = ["kind", "set", "beta"] + [f"d{n}_over_delta" for n in range(args.max_n + 1)]
-    rows = [["curve", ""] + list(map(float, row)) for row in curves]
+    rows = [["curve", ""] + row for row in curves.tolist()]
     points = []
     for set_id, ref in refdata.reference_sets().items():
         beta = ref.params.beta
@@ -288,23 +274,18 @@ def cmd_spectrum(args):
     grid = _resolve_grid(args)
     tmap = spectro.transition_map(params, grid, n_max=args.nmax)
     pairs = sorted(tmap.frequencies)
-    header = ["epsilon_ghz"]
+    freqs = tmap.curves if args.visible_only else tmap.frequencies
+    header, columns = ["epsilon_ghz"], [grid]
     for k, l in pairs:
         header += [f"f{k}{l}_ghz", f"m{k}{l}"]
-    freqs = tmap.curves if args.visible_only else tmap.frequencies
-    rows = []
-    for i, eps in enumerate(grid):
-        row = [float(eps)]
-        for pair in pairs:
-            row += [float(freqs[pair][i]), float(tmap.elements[pair][i])]
-        rows.append(row)
+        columns += [freqs[(k, l)], tmap.elements[(k, l)]]
     plot = {
         "title": "transition frequencies vs bias",
         "xlabel": "epsilon (GHz)",
         "ylabel": "frequency (GHz)",
         "series": [(f"{k}-{l}", grid, freqs[(k, l)]) for k, l in pairs],
     }
-    _render_table(args, "spectrum", header, rows, plot=plot)
+    _render_table(args, "spectrum", header, np.column_stack(columns), plot=plot)
 
 
 def cmd_twotone(args):
@@ -330,7 +311,7 @@ def cmd_twotone(args):
     with _grid_overflow(args, "the two-tone branches overflow on the drive grid", remedy):
         branch_lo, branch_hi = twotone.avoided_crossing_branches(drive, grid)
     header = ["omega_d_ghz", "branch_lo_ghz", "branch_hi_ghz"]
-    rows = [[float(w), float(lo), float(hi)] for w, lo, hi in zip(grid, branch_lo, branch_hi)]
+    rows = np.column_stack([grid, branch_lo, branch_hi])
     plot = {
         "title": f"two-tone branches, panel {args.panel}",
         "xlabel": "drive frequency (GHz)",
@@ -401,7 +382,7 @@ def cmd_fit_params(args):
         if not all(v.is_integer() and 0 <= v < levels for v in row[1:3]):
             raise UsageError(
                 f"level indices must be integers in [0, {levels}) at --nmax {args.nmax}, "
-                f"got row {','.join(map(_fmt, row))!r}"
+                f"got row {','.join(map(_cell, row))!r}"
             )
     observed = [(eps, (int(k), int(l)), freq) for eps, k, l, freq in rows]
     init = rabi.CircuitParams(delta=args.init_delta, omega=args.init_omega, g=args.init_g)
