@@ -346,17 +346,24 @@ def cmd_overlap(args):
 def cmd_fit_s21(args):
     """Fit the notch lineshape(s) in a measured |S21| CSV file."""
     rows = _read_csv_input(args.input, ("epsilon_ghz", "omega_p_ghz", "s21_abs"))
+    if not rows:
+        raise UsageError(f"input file {args.input} has no data rows")
     slices: dict[float, list] = {}
-    for eps, omega_p, mag in rows:
-        slices.setdefault(eps, []).append((omega_p, mag))
+    for row in rows:
+        if row[1] <= 0:
+            raise UsageError(f"omega_p_ghz must be positive, got row {','.join(map(_cell, row))!r}")
+        slices.setdefault(row[0], []).append(row[1:])
     fits = []
     for eps in sorted(slices):
         data = np.asarray(slices[eps])
-        init = spectro.estimate_lineshape(data[:, 0], data[:, 1])
         background = spectro.BackgroundPoly(
             (1.0,) + (0.0,) * args.degree, center=float(np.mean(data[:, 0]))
         )
-        shape, poly, rms = spectro.fit_lineshape(data, init, background)
+        try:
+            init = spectro.estimate_lineshape(data[:, 0], data[:, 1])
+            shape, poly, rms = spectro.fit_lineshape(data, init, background)
+        except IllConditionedDataError as exc:
+            raise UsageError(f"input file {args.input} at epsilon_ghz {_cell(eps)}: {exc}") from exc
         fits.append(
             {
                 "epsilon_ghz": eps,

@@ -25,6 +25,7 @@ from .errors import IllConditionedDataError
 from .levmar import least_squares_lm
 
 MAX_BACKGROUND_DEGREE = 8
+MIN_LINESHAPE_POINTS = 20
 MIN_OBSERVATIONS = 6
 TRANSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
 # quadrature element at or below which a transition is invisible
@@ -136,16 +137,18 @@ def fit_lineshape(
 ) -> tuple[LineshapeParams, BackgroundPoly, float]:
     """Fit |S21_bg * S21| to measured magnitude data.
 
-    ``data`` is a sequence of (omega_p, |S21|) pairs, at least 20 points
-    spanning the resonance.  The background polynomial is fitted jointly
+    ``data`` is a sequence of (omega_p, |S21|) pairs, MIN_LINESHAPE_POINTS or
+    more spanning the resonance.  The background polynomial is fitted jointly
     with the lineshape (they enter multiplicatively).  Returns the fitted
     lineshape, background, and RMS residual.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
         raise ValueError("data must be a sequence of (omega_p, magnitude) pairs")
-    if points.shape[0] < 20:
-        raise ValueError(f"need at least 20 data points, got {points.shape[0]}")
+    if points.shape[0] < MIN_LINESHAPE_POINTS:
+        raise IllConditionedDataError(
+            f"need at least {MIN_LINESHAPE_POINTS} data points, got {points.shape[0]}"
+        )
     w, y = points[:, 0], points[:, 1]
     if np.ptp(y) < 1e-12 * max(float(np.max(np.abs(y))), 1.0):
         raise IllConditionedDataError("data show no resonance dip (flat magnitude)")
@@ -180,9 +183,12 @@ def estimate_lineshape(omega_p, magnitude) -> LineshapeParams:
 
     Takes the dip position as the resonance, the half-depth width as the
     loaded linewidth, and the relative dip depth as q_total/q_external.
+    Probe frequencies that all coincide raise IllConditionedDataError.
     """
     w = np.asarray(omega_p, dtype=float)
     y = np.asarray(magnitude, dtype=float)
+    if np.ptp(w) == 0:
+        raise IllConditionedDataError("probe frequencies span no range")
     dip = int(np.argmin(y))
     omega0 = float(w[dip])
     edge = max(y.size // 10, 2)

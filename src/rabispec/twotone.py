@@ -67,12 +67,9 @@ def avoided_crossing_branches(tld: ThreeLevelDrive, omega_d):
     w_d = np.asarray(omega_d, dtype=float)
     w_ab = tld.omega_b - tld.omega_a
     w_ac = tld.omega_c - tld.omega_a
-    if tld.ordering == "b_below_c":
-        center = 0.5 * (w_ab + w_ac - w_d)
-        detuning = (tld.omega_c - tld.omega_b) - w_d
-    else:
-        center = 0.5 * (w_ab + w_ac + w_d)
-        detuning = (tld.omega_b - tld.omega_c) - w_d
+    s = 1.0 if tld.ordering == "b_below_c" else -1.0
+    center = 0.5 * (w_ab + w_ac - s * w_d)
+    detuning = tld.drive_resonance - w_d
     root = np.sqrt(0.25 * detuning**2 + tld.rabi_bc**2)
     return (center - root)[()], (center + root)[()]
 

@@ -49,6 +49,60 @@ def test_shift_table_json(capsys):
     body = json.loads(out)
     assert body["command"] == "shift-table"
     assert len(body["rows"]) == 9
+    table = {row[0]: dict(zip(body["columns"], row)) for row in body["rows"]}
+    assert all(type(row["nmax"]) is int and row["nmax"] == 40 for row in table.values())
+    assert table["A"]["d2_ref"] is None
+    code, out, _ = run_cli(["shift-table"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert {row[header.index("nmax")] for row in rows} == {"40"}
+
+
+TABLE_CALLS = (
+    ["shift-table"],
+    ["shift-curves", "--max-n", "5", "--grid-points", "9"],
+    ["spectrum", "--set", "A", "--visible-only", "--grid-start", "-0.5", "--grid-stop", "0.5",
+     "--grid-points", "5"],
+    ["twotone", "--set", "H", "--panel", "c", "--rabi-bc", "0.01", "--grid-points", "9"],
+    ["overlap", "--n", "7", "--grid-points", "9"],
+)
+
+
+@pytest.mark.parametrize("argv", TABLE_CALLS, ids=lambda argv: argv[0])
+def test_table_cells_need_no_csv_quoting(argv, capsys):
+    # the CSV is written by joining cells with ","; that is only valid CSV
+    # while no header or cell holds a comma, a quote or a newline
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert list(csv.reader(lines)) == [line.split(",") for line in lines]
+    assert len({len(line.split(",")) for line in lines}) == 1
+    assert '"' not in out and "\r" not in out
+
+
+def test_json_null_exactly_where_csv_blank(capsys):
+    argv = TABLE_CALLS[2]
+    _, out, _ = run_cli(argv, capsys)
+    header, rows = parse_csv(out)
+    _, out, _ = run_cli(argv + ["--format", "json"], capsys)
+    body = json.loads(out)
+    assert body["columns"] == header
+    blank = [[cell == "" for cell in row] for row in rows]
+    null = [[value is None for value in row] for row in body["rows"]]
+    assert null == blank
+    assert any(map(any, blank))  # parity-forbidden lines at epsilon = 0
+
+
+def test_shift_curves_json_nulls(capsys):
+    code, out, _ = run_cli(["shift-curves", "--grid-points", "5", "--format", "json"], capsys)
+    assert code == 0
+    body = json.loads(out)
+    rows = [dict(zip(body["columns"], row)) for row in body["rows"]]
+    curves = [row for row in rows if row["kind"] == "curve"]
+    assert len(curves) == 5 and all(row["set"] is None for row in curves)
+    measured = {row["set"]: row for row in rows if row["kind"] == "measured"}
+    assert measured["A"]["d2_over_delta"] is None
+    assert measured["B"]["d2_over_delta"] is not None
 
 
 def test_byte_identical_reruns(capsys):
@@ -235,6 +289,33 @@ def test_fit_inputs_reject_malformed_rows(tmp_path, capsys):
         assert code == 1, argv
         assert err.startswith(f"error: usage: {message}")
         assert err.rstrip().endswith(repr(row))
+
+
+def test_fit_s21_rejects_unfittable_input(tmp_path, capsys):
+    header = "epsilon_ghz,omega_p_ghz,s21_abs\n"
+
+    def write(name, w, y):
+        path = tmp_path / name
+        path.write_text(header + "".join(f"0.25,{wi!r},{yi!r}\n" for wi, yi in zip(w, y)))
+        return str(path)
+
+    dip = [0.9] * 40
+    dip[20] = 0.8
+    grid = np.linspace(6.0, 6.1, 40).tolist()
+    for path, message in (
+        (write("header.csv", [], []), "has no data rows"),
+        (write("five.csv", grid[:5], dip[:5]), "at epsilon_ghz 0.25: need at least 20 data"),
+        (write("flat.csv", grid, [0.9] * 40), "at epsilon_ghz 0.25: data show no resonance dip"),
+        (write("equal.csv", [6.0] * 40, dip), "at epsilon_ghz 0.25: probe frequencies span"),
+        (write("negative.csv", np.linspace(-0.1, 0.1, 40).tolist(), dip), "'0.25,-0.1,0.9'"),
+    ):
+        code, out, err = run_cli(["fit-s21", "--input", path], capsys)
+        assert code == 1, path
+        assert out == ""
+        assert err.startswith("error: usage:") and err.count("\n") == 1
+        assert message in err, err
+        if "negative" not in path:
+            assert f"input file {path} " in err
 
 
 def test_fit_params_rejects_level_index_out_of_range(tmp_path, capsys):
