@@ -150,6 +150,8 @@ def fit_lineshape(
             f"need at least {MIN_LINESHAPE_POINTS} data points, got {points.shape[0]}"
         )
     w, y = points[:, 0], points[:, 1]
+    if np.ptp(w) == 0:
+        raise IllConditionedDataError("probe frequencies span no range")
     if np.ptp(y) < 1e-12 * max(float(np.max(np.abs(y))), 1.0):
         raise IllConditionedDataError("data show no resonance dip (flat magnitude)")
     if background is None:

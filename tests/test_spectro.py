@@ -109,6 +109,17 @@ def test_fit_lineshape_rejects_short_data():
         spectro.fit_lineshape(data, init)
 
 
+def test_lineshape_rejects_zero_probe_span():
+    w = np.full(40, 6.0)
+    y = np.full(40, 0.9)
+    y[20] = 0.8
+    init = spectro.LineshapeParams(omega0=6.0, q_total=1e3, q_external=1e3)
+    with pytest.raises(IllConditionedDataError, match="probe frequencies"):
+        spectro.estimate_lineshape(w, y)
+    with pytest.raises(IllConditionedDataError, match="probe frequencies"):
+        spectro.fit_lineshape(np.column_stack([w, y]), init)
+
+
 def test_estimate_lineshape_seeds_a_working_fit():
     truth, bg, data = _synthetic_lineshape()
     init = spectro.estimate_lineshape(data[:, 0], data[:, 1])
