@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import analytic, rabi, refdata, spectro, svgplot, twotone
-from .errors import IllConditionedDataError
+from .errors import HamiltonianOverflowError, IllConditionedDataError
 
 GHZ_FMT = "%.4f"
 FLOAT_FMT = "%.10g"
@@ -177,6 +177,18 @@ def _grid_overflow(args, what: str, remedy: str = NARROW_GRID):
         raise UsageError(f"{what} [{args.grid_start}, {args.grid_stop}]; {remedy}") from exc
 
 
+LOWER_CIRCUIT = "lower --delta, --omega or --g, or --nmax"
+
+
+@contextlib.contextmanager
+def _hamiltonian_overflow(remedy: str = LOWER_CIRCUIT):
+    """Turn rabi's overflow guard into a usage error naming the flags at fault."""
+    try:
+        yield
+    except HamiltonianOverflowError as exc:
+        raise UsageError(f"{exc}; {remedy}") from exc
+
+
 def _resolve_grid(args, remedy: str = NARROW_GRID) -> np.ndarray:
     if not args.grid_start < args.grid_stop:
         raise UsageError("grid start must be below grid stop")
@@ -272,7 +284,8 @@ def cmd_spectrum(args):
     """Transition frequencies and quadrature elements vs qubit bias."""
     params = _resolve_params(args)
     grid = _resolve_grid(args)
-    tmap = spectro.transition_map(params, grid, n_max=args.nmax)
+    with _hamiltonian_overflow(f"{LOWER_CIRCUIT}, or {NARROW_GRID}"):
+        tmap = spectro.transition_map(params, grid, n_max=args.nmax)
     pairs = sorted(tmap.frequencies)
     freqs = tmap.curves if args.visible_only else tmap.frequencies
     header, columns = ["epsilon_ghz"], [grid]
@@ -294,7 +307,8 @@ def cmd_twotone(args):
     explicit = args.grid_start is not None and args.grid_stop is not None
     # a bad explicit grid is a usage error before the solve
     grid = _resolve_grid(args) if explicit else None
-    drive = twotone.twotone_linemap(params, args.nmax, args.panel, args.rabi_bc)
+    with _hamiltonian_overflow():
+        drive = twotone.twotone_linemap(params, args.nmax, args.panel, args.rabi_bc)
     remedy = NARROW_GRID
     if grid is None:
         # default window centered on the drive resonance of the panel

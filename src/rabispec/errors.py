@@ -22,5 +22,9 @@ class AmbiguousLabelError(RuntimeError):
         )
 
 
+class HamiltonianOverflowError(ValueError):
+    """A Hamiltonian entry would overflow a float at these parameters."""
+
+
 class IllConditionedDataError(ValueError):
     """Input data cannot constrain the requested fit (e.g. no resonance dip)."""

@@ -17,7 +17,11 @@ recursion implemented in :func:`assign_labels`.
 Eigendecomposition uses LAPACK through ``np.linalg.eigh``: at epsilon = 0
 on each of the two parity chains, real symmetric tridiagonal matrices of
 dimension n_max+1, which keeps the eigenvectors exact parity states; at
-finite bias on the dense matrix.  Eigenvectors keep LAPACK's sign; no sign
+finite bias on the dense matrix.  :func:`solve` hands LAPACK the biased
+matrix directly: it is symmetric by construction, and one scalar guard
+refuses parameters whose entries would overflow a float.  Matrices that
+callers supply go through :func:`eigendecompose`, which checks shape,
+finiteness and symmetry first.  Eigenvectors keep LAPACK's sign; no sign
 convention is imposed, since every quantity read from them (|matrix
 elements|, parities) is sign-free.
 """
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AmbiguousLabelError, ConvergenceError
+from .errors import AmbiguousLabelError, ConvergenceError, HamiltonianOverflowError
 
 DEFAULT_N_MAX = 40
 # assign_labels: the winning quadrature element must exceed this floor and
@@ -118,19 +122,30 @@ class LabeledLevels:
 
 
 def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
-    """Dense real-symmetric Hamiltonian matrix in GHz, dimension 2*(n_max+1)."""
+    """Dense real-symmetric Hamiltonian matrix in GHz, dimension 2*(n_max+1).
+
+    Filled in place: the diagonal omega*m -+ epsilon/2, the couplings +-g*sqrt(m)
+    beside it in each qubit block, and -delta/2 on the diagonals of the blocks
+    that sigma_x couples.  Every other entry is +0.0.
+    """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     size = n_max + 1
-    m = np.arange(size)
-    ladder = np.sqrt(m[1:].astype(float))
-    x = np.diag(ladder, 1) + np.diag(ladder, -1)  # a + a^dag
-    h = np.zeros((2 * size, 2 * size))
-    osc = params.omega * m
-    h[:size, :size] = params.g * x + np.diag(osc - 0.5 * params.epsilon)
-    h[size:, size:] = -params.g * x + np.diag(osc + 0.5 * params.epsilon)
-    h[:size, size:] = np.diag(np.full(size, -0.5 * params.delta))
-    h[size:, :size] = h[:size, size:]
+    dim = 2 * size
+    osc = params.omega * np.arange(size)
+    coupling = params.g * np.sqrt(np.arange(1.0, size))
+    h = np.zeros((dim, dim))
+    flat = h.reshape(-1)  # a view: entry (r, c) is flat[r * dim + c]
+    step = dim + 1  # from one entry of a diagonal to the next
+    diagonal = flat[::step]
+    diagonal[:size] = osc - 0.5 * params.epsilon
+    diagonal[size:] = osc + 0.5 * params.epsilon
+    # entries (r, r+1) and (r+1, r); r = size-1 crosses the qubit blocks and stays 0
+    for band in (flat[1::step], flat[dim::step]):
+        band[: size - 1] = coupling
+        band[size:] = 0.0 - coupling  # at g = 0 this is +0.0, like every other zero
+    flat[size : size * dim : step] = -0.5 * params.delta
+    flat[size * dim :: step] = -0.5 * params.delta
     return h
 
 
@@ -159,7 +174,9 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
 
     At epsilon = 0 the two parity chains are diagonalized separately, which
     is faster and keeps forbidden transition matrix elements at the
-    rounding floor; otherwise the full dense matrix is used.
+    rounding floor; otherwise the full dense matrix goes to LAPACK as built,
+    with no symmetry or finiteness pass: it is symmetric by construction,
+    and the overflow guard below bounds every entry of either path.
 
     In the rotated (qubit-energy) basis, even-sector chain coordinate k pairs
     qubit g (k even) or e (k odd) with Fock state |k>; the odd sector swaps g
@@ -167,8 +184,14 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_overflow(params, n_max)
     if params.epsilon != 0.0:
-        return eigendecompose(build_hamiltonian(params, n_max), n_max=n_max)
+        h = build_hamiltonian(params, n_max)
+        try:
+            w, v = np.linalg.eigh(h)
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(f"eigh failed on a {h.shape} matrix: {exc}") from exc
+        return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
     k = np.arange(n_max + 1)
     off = params.g * np.sqrt(k[1:])
     even_sign = np.where(k % 2 == 0, 1.0, -1.0)
@@ -187,6 +210,22 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     order = np.argsort(w, kind="stable")
     v = np.asfortranarray(np.hstack(vectors)[:, order])
     return Spectrum(eigenvalues=w[order], eigenvectors=v, n_max=n_max)
+
+
+def _check_overflow(params: CircuitParams, n_max: int):
+    """Raise HamiltonianOverflowError unless every Hamiltonian entry is a finite float.
+
+    No entry of the dense matrix or of a parity chain exceeds
+    omega*n_max + (|epsilon| + delta)/2 or g*sqrt(n_max) in magnitude.  The
+    products run on Python floats, so an overflow is an inf, not a warning.
+    """
+    qubit = abs(float(params.epsilon)) + float(params.delta)
+    diagonal = float(params.omega) * n_max + 0.5 * qubit
+    if not (math.isfinite(diagonal) and math.isfinite(float(params.g) * math.sqrt(n_max))):
+        raise HamiltonianOverflowError(
+            f"Hamiltonian entries overflow a float at delta={params.delta}, "
+            f"omega={params.omega}, g={params.g}, epsilon={params.epsilon}, n_max={n_max}"
+        )
 
 
 def parity_expectation(vector: np.ndarray, n_max: int) -> float:
@@ -208,26 +247,45 @@ def total_parity(vector: np.ndarray, n_max: int) -> int | None:
     return None
 
 
-def _apply_quadrature(vector: np.ndarray, n_max: int) -> np.ndarray:
-    """Apply I (x) (a + a^dag) to a product-basis vector."""
+def _apply_quadrature(vectors: np.ndarray, n_max: int) -> np.ndarray:
+    """Apply I (x) (a + a^dag) along the last axis of a (..., d) array."""
     size = n_max + 1
-    u = vector.reshape(2, size)
+    u = vectors.reshape(vectors.shape[:-1] + (2, size))
     ladder = np.sqrt(np.arange(1.0, size))
     out = np.zeros_like(u)
-    out[:, :-1] += ladder * u[:, 1:]
-    out[:, 1:] += ladder * u[:, :-1]
-    return out.ravel()
+    out[..., :-1] += ladder * u[..., 1:]
+    out[..., 1:] += ladder * u[..., :-1]
+    return out.reshape(vectors.shape)
+
+
+def _check_states(spec: Spectrum, states):
+    if spec.n_max is None:
+        raise ValueError("spectrum carries no truncation size")
+    if min(states) < 0 or max(states) >= spec.dim:
+        raise IndexError(f"state indices {tuple(states)} out of range for dim {spec.dim}")
 
 
 def transition_matrix_element(spec: Spectrum, k: int, l: int) -> float:
     """|<k|(a + a^dag)|l>| between eigenstates k and l."""
-    if spec.n_max is None:
-        raise ValueError("spectrum carries no truncation size")
-    if not (0 <= k < spec.dim and 0 <= l < spec.dim):
-        raise IndexError(f"state indices ({k}, {l}) out of range for dim {spec.dim}")
+    _check_states(spec, (k, l))
     return float(
         abs(spec.eigenvectors[:, k] @ _apply_quadrature(spec.eigenvectors[:, l], spec.n_max))
     )
+
+
+def transition_matrix_elements(spec: Spectrum, pairs) -> list[float]:
+    """:func:`transition_matrix_element` for each (k, l) of ``pairs``, bit for bit.
+
+    The quadrature is applied once, to the eigenvector columns from the
+    lowest to the highest l; each element is then the same contiguous dot
+    product.  (One matmul over all pairs would sum in another order.)
+    """
+    _check_states(spec, [s for pair in pairs for s in pair])
+    first = min(l for _, l in pairs)
+    last = max(l for _, l in pairs)
+    v = spec.eigenvectors
+    applied = _apply_quadrature(v[:, first : last + 1].T, spec.n_max)
+    return [float(abs(v[:, k] @ applied[l - first])) for k, l in pairs]
 
 
 def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) -> LabeledLevels:

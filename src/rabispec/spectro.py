@@ -114,9 +114,10 @@ def transition_map(
     elems = {pair: np.empty(grid.size) for pair in TRANSITIONS}
     for i, eps in enumerate(grid):
         spec = rabi.solve(replace(params, epsilon=float(eps)), n_max)
-        for k, l in TRANSITIONS:
+        elements = rabi.transition_matrix_elements(spec, TRANSITIONS)
+        for (k, l), element in zip(TRANSITIONS, elements):
             freqs[(k, l)][i] = spec.eigenvalues[l] - spec.eigenvalues[k]
-            elems[(k, l)][i] = rabi.transition_matrix_element(spec, k, l)
+            elems[(k, l)][i] = element
     return TransitionMap(frequencies=freqs, elements=elems)
 
 

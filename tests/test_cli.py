@@ -254,6 +254,32 @@ def test_grid_flags_never_crash(command, start, stop, points):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--delta", "1", "--omega", "1e307", "--g", "1", "--grid-points", "3"],
+        ["spectrum", "--delta", "1", "--omega", "1", "--g", "1e308", "--grid-points", "3"],
+        ["twotone", "--delta", "1", "--omega", "1e307", "--g", "1", "--panel", "a",
+         "--rabi-bc", "0.01"],
+    ],
+)
+def test_hamiltonian_overflow_is_usage_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert not caught, [str(w.message) for w in caught]
+    assert code == 1
+    assert out.getvalue() == ""
+    message = err.getvalue()
+    assert message.startswith("error: usage: Hamiltonian entries overflow")
+    assert message.count("\n") == 1
+    for flag in ("--omega", "--g", "--nmax"):
+        assert flag in message
+    assert ("--grid-start" in message) == (argv[0] == "spectrum")
+
+
 def test_nmax_below_one_is_usage_error(tmp_path, capsys):
     data = tmp_path / "transitions.csv"
     data.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rabispec import rabi
-from rabispec.errors import AmbiguousLabelError, ConvergenceError
+from rabispec.errors import AmbiguousLabelError, ConvergenceError, HamiltonianOverflowError
 
 
 def test_params_validation():
@@ -24,6 +24,72 @@ def test_build_rejects_bad_truncation():
     p = rabi.CircuitParams(delta=1.0, omega=6.0, g=1.0)
     with pytest.raises(ValueError):
         rabi.build_hamiltonian(p, 0)
+
+
+def kron_hamiltonian(p, n_max):
+    """-delta/2 sx(x)I - eps/2 sz(x)I + omega I(x)n + g sz(x)(a + a^dag), by np.kron."""
+    sx = np.array([[0.0, 1.0], [1.0, 0.0]])
+    sz = np.diag([1.0, -1.0])
+    eye = np.eye(n_max + 1)
+    ladder = np.sqrt(np.arange(1.0, n_max + 1))
+    quadrature = np.diag(ladder, 1) + np.diag(ladder, -1)
+    number = np.diag(np.arange(n_max + 1.0))
+    return (
+        -0.5 * p.delta * np.kron(sx, eye)
+        - 0.5 * p.epsilon * np.kron(sz, eye)
+        + p.omega * np.kron(np.eye(2), number)
+        + p.g * np.kron(sz, quadrature)
+    )
+
+
+@pytest.mark.parametrize(
+    "delta, omega, g, epsilon, n_max",
+    [
+        (1.68, 6.345, 7.27, 0.7, 40),
+        (1.68, 6.345, 7.27, 0.0, 40),
+        (1.3, 6.1, 0.0, -2.5, 12),
+        (0.0, 5.5, 2.2, 1.0, 1),
+        (7.9, 0.5, 3.3, -0.013, 20),
+        (1.2, 6.0, 1.0, 12.0, 2),
+    ],
+)
+def test_build_hamiltonian_matches_kron(delta, omega, g, epsilon, n_max):
+    p = rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=epsilon)
+    h = rabi.build_hamiltonian(p, n_max)
+    assert h.shape == (2 * (n_max + 1),) * 2
+    assert np.array_equal(h, kron_hamiltonian(p, n_max))
+
+
+def test_biased_solve_is_eigendecompose_bit_for_bit():
+    # the dense path skips eigendecompose's checks but not a single bit of its answer
+    for delta, omega, g, epsilon, n_max in [
+        (1.68, 6.345, 7.27, 0.7, 40),
+        (0.5, 6.0, 0.0, -1.0, 12),
+        (8.0, 6.2, 3.1, 0.05, 20),
+    ]:
+        p = rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=epsilon)
+        fast = rabi.solve(p, n_max)
+        checked = rabi.eigendecompose(rabi.build_hamiltonian(p, n_max), n_max=n_max)
+        assert fast.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
+        assert fast.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
+        assert fast.n_max == checked.n_max == n_max
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+def test_solve_rejects_overflowing_entries(epsilon):
+    # on either path a non-finite entry is refused before numpy can warn;
+    # the last case overflows only once delta/2 joins omega * n_max
+    for delta, omega, g, n_max in [
+        (1.0, 1e307, 1.0, 40),
+        (1.0, 1.0, 1e308, 40),
+        (1.7e308, 2.5e307, 1.0, 4),
+    ]:
+        p = rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=epsilon)
+        with pytest.raises(HamiltonianOverflowError, match="overflow a float"):
+            rabi.solve(p, n_max)
+    # a huge but representable circuit still goes to LAPACK
+    p = rabi.CircuitParams(delta=1.0, omega=1e300, g=1.0, epsilon=epsilon)
+    assert np.all(np.isfinite(rabi.solve(p, 4).eigenvalues))
 
 
 def test_decoupled_limit_spectrum():

@@ -220,3 +220,28 @@ def test_transition_map_matches_labeled_gap_at_symmetry(solved_sets):
         gap = labels.energy("e", 0) - labels.energy("g", 0)
         assert tmap.frequencies[(0, 1)][0] == pytest.approx(gap, abs=1e-9)
 
+
+
+@pytest.mark.parametrize("set_id, grid", [("A", (-2.0, 0.0, 0.3, 2.0)), ("H", (-0.4, 0.0, 0.1))])
+def test_transition_map_elements_are_the_checked_elements(reference, set_id, grid):
+    # one quadrature pass per point gives the one-at-a-time elements exactly
+    p = reference[set_id].params
+    tmap = spectro.transition_map(p, np.array(grid), n_max=30)
+    for i, eps in enumerate(grid):
+        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=eps), 30)
+        for k, l in spectro.TRANSITIONS:
+            assert tmap.elements[(k, l)][i] == rabi.transition_matrix_element(spec, k, l)
+            assert tmap.frequencies[(k, l)][i] == spec.eigenvalues[l] - spec.eigenvalues[k]
+
+
+def test_transition_matrix_elements_checks_states(solved_sets):
+    _, spec, _ = solved_sets["A"]
+    pairs = [(0, 3), (5, 2), (1, 1)]
+    assert rabi.transition_matrix_elements(spec, pairs) == [
+        rabi.transition_matrix_element(spec, k, l) for k, l in pairs
+    ]
+    with pytest.raises(IndexError):
+        rabi.transition_matrix_elements(spec, [(0, 1), (0, spec.dim)])
+    bare = rabi.Spectrum(spec.eigenvalues, spec.eigenvectors)
+    with pytest.raises(ValueError):
+        rabi.transition_matrix_elements(bare, [(0, 1)])
