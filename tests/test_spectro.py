@@ -221,7 +221,6 @@ def test_transition_map_matches_labeled_gap_at_symmetry(solved_sets):
         assert tmap.frequencies[(0, 1)][0] == pytest.approx(gap, abs=1e-9)
 
 
-
 @pytest.mark.parametrize("set_id, grid", [("A", (-2.0, 0.0, 0.3, 2.0)), ("H", (-0.4, 0.0, 0.1))])
 def test_transition_map_elements_are_the_checked_elements(reference, set_id, grid):
     # one quadrature pass per point gives the one-at-a-time elements exactly
