@@ -209,14 +209,21 @@ def _read_csv_input(path, expected_header):
         raise UsageError(
             f"input header must be {','.join(expected_header)!r}, got {lines[0]!r}"
         )
+    body, width = lines[1:], len(header)
+    # Fast path: parse the whole table at once.  A finite sum means every
+    # value is finite; a sum that overflows only sends the table to the loop.
+    with contextlib.suppress(ValueError):
+        values = list(map(float, ",".join(body).split(",")))
+        if all(ln.count(",") == width - 1 for ln in body) and math.isfinite(sum(values)):
+            return [values[i : i + width] for i in range(0, len(values), width)]
     rows = []
-    for ln in lines[1:]:
+    for ln in body:
         try:
             row = [float(v) for v in ln.split(",")]
         except ValueError as exc:
             raise UsageError(f"bad numeric row in {path}: {ln!r}") from exc
-        if len(row) != len(header):
-            raise UsageError(f"row in {path} needs {len(header)} values: {ln!r}")
+        if len(row) != width:
+            raise UsageError(f"row in {path} needs {width} values: {ln!r}")
         if not all(math.isfinite(v) for v in row):
             raise UsageError(f"non-finite value in {path}: {ln!r}")
         rows.append(row)

@@ -1,9 +1,10 @@
 """Damped least squares (Levenberg-Marquardt) with numerical Jacobians.
 
 Small, self-contained implementation for the toolkit's fitting needs
-(parameter counts of order ten, smooth models).  Jacobians are built by
-central differences with a relative step; damping follows the classic
-Marquardt diagonal scaling.
+(parameter counts of order ten, smooth models).  The model is evaluated on
+a stack of parameter vectors, so a Jacobian, built by central differences
+with a relative step, is one model call on 2p rows.  Damping follows the
+classic Marquardt diagonal scaling.
 """
 
 from __future__ import annotations
@@ -28,36 +29,43 @@ class FitResult:
     message: str
 
 
-def _numerical_jacobian(fun, x, r0_size):
-    jac = np.empty((r0_size, x.size))
-    for j in range(x.size):
-        h = FD_STEP * max(abs(x[j]), 1.0)
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        jac[:, j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return jac
+def _numerical_jacobian(fun, x):
+    """Central-difference Jacobian (m, p), C-contiguous, from one call of ``fun``.
+
+    The stack holds the 2p rows x + h_j e_j (rows 0..p-1) and x - h_j e_j
+    (rows p..2p-1).  The layout matters: ``jac.T @ jac`` sums in another
+    order on an F-order array, which moves a fit's last digits.
+    """
+    p = x.size
+    h = FD_STEP * np.maximum(np.abs(x), 1.0)
+    stack = np.tile(x, (2 * p, 1))
+    columns = np.arange(p)
+    stack[columns, columns] += h
+    stack[p + columns, columns] -= h
+    r = np.asarray(fun(stack), dtype=float)
+    return np.ascontiguousarray((r[:p] - r[p:]).T / (2.0 * h))
 
 
 def least_squares_lm(fun, x0) -> FitResult:
     """Minimize sum(fun(x)^2) starting from x0.
 
-    ``fun`` maps a parameter vector to a residual vector.  Convergence is
-    declared when an accepted step changes the cost by less than
-    REL_COST_TOL relative, when the gradient vanishes, or when damping can
-    no longer produce a downhill step (a stall at a local minimum, reported
-    in the result message rather than raised).  Exceeding MAX_ITERATIONS
+    ``fun`` maps a (k, p) stack of parameter vectors to the (k, m) stack of
+    their residual vectors.  Each Jacobian is one call on 2p rows; the
+    initial residual and each damping trial are calls on one row.
+    Convergence is declared when an accepted step changes the cost by less
+    than REL_COST_TOL relative, when the gradient vanishes, or when damping
+    can no longer produce a downhill step (a stall at a local minimum,
+    reported in the result message rather than raised).  Exceeding MAX_ITERATIONS
     Jacobian builds raises ConvergenceError.
     """
     x = np.asarray(x0, dtype=float).copy()
     if x.ndim != 1 or x.size == 0:
         raise ValueError("parameter vector must be 1-d and non-empty")
-    r = np.asarray(fun(x), dtype=float)
+    r = _one_row(fun, x)
     cost = float(r @ r)
     lam = 1e-3
     for iteration in range(1, MAX_ITERATIONS + 1):
-        jac = _numerical_jacobian(fun, x, r.size)
+        jac = _numerical_jacobian(fun, x)
         grad = jac.T @ r
         normal = jac.T @ jac
         if np.max(np.abs(grad)) < 1e-14 * max(cost, 1.0):
@@ -73,7 +81,7 @@ def least_squares_lm(fun, x0) -> FitResult:
                 lam *= 10.0
                 continue
             x_trial = x + step
-            r_trial = np.asarray(fun(x_trial), dtype=float)
+            r_trial = _one_row(fun, x_trial)
             cost_trial = float(r_trial @ r_trial)
             if np.isfinite(cost_trial) and cost_trial < cost:
                 accepted = True
@@ -90,6 +98,10 @@ def least_squares_lm(fun, x0) -> FitResult:
         f"least-squares fit did not converge within {MAX_ITERATIONS} iterations "
         f"(cost {cost:.6e})"
     )
+
+
+def _one_row(fun, x):
+    return np.asarray(fun(x[np.newaxis]), dtype=float)[0]
 
 
 def _rms(cost: float, size: int) -> float:

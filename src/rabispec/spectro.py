@@ -15,7 +15,6 @@ the diagonalized Hamiltonian.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -46,12 +45,20 @@ class LineshapeParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.omega0 > 0 and math.isfinite(self.omega0)):
-            raise ValueError(f"omega0 must be positive and finite, got {self.omega0}")
-        if self.q_total <= 0 or self.q_external <= 0:
-            raise ValueError("quality factors must be positive")
-        if not math.isfinite(self.phi):
-            raise ValueError("phi must be finite")
+        if _lineshape_rejected(self.omega0, self.q_total, self.q_external, self.phi).any():
+            raise ValueError(
+                "omega0 must be positive and finite, quality factors positive and phi "
+                f"finite, got {self}"
+            )
+
+
+def _lineshape_rejected(omega0, q_total, q_external, phi):
+    """Where LineshapeParams rejects its fields, elementwise over stacked fields.
+
+    A NaN quality factor is not rejected.
+    """
+    finite = (omega0 > 0) & np.isfinite(omega0) & np.isfinite(phi)
+    return ~finite | (q_total <= 0) | (q_external <= 0)
 
 
 @dataclass(frozen=True)
@@ -60,20 +67,23 @@ class BackgroundPoly:
 
     ``coefficients`` are ascending powers of (omega_p - center); fitting
     uses a centered variable because raw powers of a ~6 GHz frequency over
-    a narrow window are badly collinear.
+    a narrow window are badly collinear.  A stack of k backgrounds holds a
+    (k, 1) column per coefficient and evaluates to (k, len(omega_p)).
     """
 
     coefficients: tuple
     center: float = 0.0
 
     def __post_init__(self):
-        if len(self.coefficients) == 0 or len(self.coefficients) - 1 > MAX_BACKGROUND_DEGREE:
+        coefficients = np.asarray(self.coefficients, dtype=float)
+        if not 1 <= len(coefficients) <= MAX_BACKGROUND_DEGREE + 1:
             raise ValueError(f"background degree must be between 0 and {MAX_BACKGROUND_DEGREE}")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
+        stacked = coefficients if coefficients.ndim > 1 else coefficients.tolist()
+        object.__setattr__(self, "coefficients", tuple(stacked))
 
     def __call__(self, omega_p):
         u = np.asarray(omega_p, dtype=float) - self.center
-        return np.polynomial.polynomial.polyval(u, self.coefficients)[()]
+        return np.polynomial.polynomial.polyval(u, self.coefficients, tensor=False)[()]
 
 
 @dataclass(frozen=True)
@@ -157,21 +167,24 @@ def fit_lineshape(
         raise IllConditionedDataError("data show no resonance dip (flat magnitude)")
     if background is None:
         background = BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=float(np.mean(w)))
-    n_coef = len(background.coefficients)
     center = background.center
 
-    def unpack(x):
-        shape = LineshapeParams(
-            omega0=abs(x[0]), q_total=abs(x[1]), q_external=abs(x[2]), phi=x[3]
-        )
-        return shape, BackgroundPoly(tuple(x[4:]), center=center)
+    def fields(x):
+        return abs(x[0]), abs(x[1]), abs(x[2]), x[3]
 
-    def residual(x):
-        try:
-            shape, poly = unpack(x)
-        except ValueError:
-            return np.full(y.size, 1e6)
-        return np.abs(poly(w) * s21(shape, w)) - y
+    def unpack(x):
+        """Lineshape and background of a vector, or of a stack's (p, k, 1) columns."""
+        return LineshapeParams(*fields(x)), BackgroundPoly(tuple(x[4:]), center=center)
+
+    def residual(stack):
+        # rows that LineshapeParams rejects read 1e6 unevaluated: evaluating them warns
+        columns = stack.T[:, :, np.newaxis]
+        ok = ~_lineshape_rejected(*fields(columns))[:, 0]
+        out = np.full((len(stack), y.size), 1e6)
+        if ok.any():
+            shape, poly = unpack(columns[:, ok])
+            out[ok] = np.abs(poly(w) * s21(shape, w)) - y
+        return out
 
     x0 = np.concatenate(
         [[init.omega0, init.q_total, init.q_external, init.phi], background.coefficients]
@@ -233,15 +246,16 @@ def fit_circuit_params(
     for i, (eps, pair, _) in enumerate(rows):
         by_eps.setdefault(eps, []).append((i, pair))
 
-    def residual(x):
-        delta, omega, g = np.abs(x) * scale
-        out = np.empty(len(rows))
-        for eps, entries in by_eps.items():
-            spec = rabi.solve(
-                rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=eps), n_max
-            )
-            for i, (k, l) in entries:
-                out[i] = spec.eigenvalues[l] - spec.eigenvalues[k]
+    def residual(stack):
+        out = np.empty((len(stack), len(rows)))
+        for x, row in zip(stack, out):
+            delta, omega, g = np.abs(x) * scale
+            for eps, entries in by_eps.items():
+                spec = rabi.solve(
+                    rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=eps), n_max
+                )
+                for i, (k, l) in entries:
+                    row[i] = spec.eigenvalues[l] - spec.eigenvalues[k]
         return out - targets
 
     result = least_squares_lm(residual, np.array([init.delta, init.omega, init.g]) / scale)

@@ -305,11 +305,21 @@ def test_fit_inputs_reject_malformed_rows(tmp_path, capsys):
     s21.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0,0.9\n0.0,6.1,inf\n")
     short = tmp_path / "short.csv"
     short.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0,0.9\n0.0,6.1\n")
+    # several bad rows of different kinds: the first one is named
+    nan_then_short = tmp_path / "nan_then_short.csv"
+    nan_then_short.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0,nan\n0.0,6.1\n")
+    short_then_inf = tmp_path / "short_then_inf.csv"
+    short_then_inf.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,6.0\n0.0,6.1,inf\n")
+    inf_then_word = tmp_path / "inf_then_word.csv"
+    inf_then_word.write_text("epsilon_ghz,omega_p_ghz,s21_abs\n0.0,inf,0.9\n0.0,6.1,x\n")
     for argv, message, row in (
         (["fit-params", "--input", str(transitions), "--init-delta", "1",
           "--init-omega", "6", "--init-g", "1"], "non-finite value", "0.3,0,1,nan"),
         (["fit-s21", "--input", str(s21)], "non-finite value", "0.0,6.1,inf"),
         (["fit-s21", "--input", str(short)], "row in", "0.0,6.1"),
+        (["fit-s21", "--input", str(nan_then_short)], "non-finite value", "0.0,6.0,nan"),
+        (["fit-s21", "--input", str(short_then_inf)], "row in", "0.0,6.0"),
+        (["fit-s21", "--input", str(inf_then_word)], "non-finite value", "0.0,inf,0.9"),
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv

@@ -1,9 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from rabispec import rabi, spectro
+from rabispec import levmar, rabi, spectro
 from rabispec.errors import IllConditionedDataError
 
 
@@ -91,6 +92,46 @@ def test_fit_lineshape_error_shrinks_with_noise():
             errs.append(abs(shape.omega0 - truth.omega0) / truth.omega0)
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2]
+
+
+def test_fit_lineshape_residual_rejects_rows_unevaluated(monkeypatch):
+    models = []
+
+    def spy(fun, x0):
+        models.append(fun)
+        return levmar.least_squares_lm(fun, x0)
+
+    monkeypatch.setattr(spectro, "least_squares_lm", spy)
+    _, _, data = _synthetic_lineshape()
+    init = spectro.LineshapeParams(omega0=6.1228, q_total=7e3, q_external=1.2e4, phi=0.2)
+    spectro.fit_lineshape(data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123))
+    good = [6.12, 8e3, 1.1e4, 0.3, 0.9, 0.01, -0.002, 0.0]
+    stack = np.array(
+        [
+            good,
+            [0.0] + good[1:],
+            good[:2] + [0.0] + good[3:],
+            good[:3] + [math.inf] + good[4:],
+            [-6.13, -7e3, 1.2e4, -0.1, 1.1, 0.0, 0.003, 0.0001],
+            good[:3] + [math.nan] + good[4:],
+            [math.nan] + good[1:],
+        ]
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        residuals = models[0](stack)
+    assert residuals.shape == (len(stack), len(data))
+    assert np.all(residuals[[1, 2, 3, 5, 6]] == 1e6)
+    w, y = data[:, 0], data[:, 1]
+    for i in (0, 4):
+        shape = spectro.LineshapeParams(*np.abs(stack[i, :3]), phi=stack[i, 3])
+        bg = spectro.BackgroundPoly(tuple(stack[i, 4:]), center=6.123)
+        expected = np.abs(bg(w) * spectro.s21(shape, w)) - y
+        assert residuals[i].tobytes() == expected.tobytes()
+    # a NaN quality factor breaks no LineshapeParams rule, so its row is evaluated
+    with np.errstate(invalid="ignore"):
+        nan_q = models[0](np.array([good[:1] + [math.nan] + good[2:]]))
+    assert np.all(np.isnan(nan_q))
 
 
 def test_fit_lineshape_rejects_flat_data():
