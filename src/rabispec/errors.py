@@ -2,7 +2,8 @@
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative routine hit its iteration cap before reaching tolerance."""
+    """A numerical routine failed: a fit hit its iteration cap, a LAPACK
+    eigensolve failed, or a quadrature rule failed its normalization check."""
 
 
 class AmbiguousLabelError(RuntimeError):

@@ -14,16 +14,16 @@ P = sx (-1)^(a^dag a), and each eigenstate carries parity +-1.  Level labels
 |i n> (i in {g, e}, n the real-photon number) are assigned by the parity
 recursion implemented in :func:`assign_labels`.
 
-Eigendecomposition uses LAPACK through ``np.linalg.eigh``: at epsilon = 0
-on each of the two parity chains, real symmetric tridiagonal matrices of
-dimension n_max+1, which keeps the eigenvectors exact parity states; at
-finite bias on the dense matrix.  :func:`solve` hands LAPACK the biased
-matrix directly: it is symmetric by construction, and one scalar guard
-refuses parameters whose entries would overflow a float.  Matrices that
-callers supply go through :func:`eigendecompose`, which checks shape,
-finiteness and symmetry first.  Eigenvectors keep LAPACK's sign; no sign
-convention is imposed, since every quantity read from them (|matrix
-elements|, parities) is sign-free.
+Eigendecomposition uses LAPACK through numpy's ``eigh``: at epsilon = 0
+in one call on the stack of the two parity chains, real symmetric
+tridiagonal matrices of dimension n_max+1, which keeps the eigenvectors
+exact parity states; at finite bias on the dense matrix.  :func:`solve`
+hands LAPACK the biased matrix directly: it is symmetric by construction,
+and one scalar guard refuses parameters whose entries would overflow a
+float.  Matrices that callers supply go through :func:`eigendecompose`,
+which checks shape, finiteness and symmetry first.  Eigenvectors keep
+LAPACK's sign; no sign convention is imposed, since every quantity read
+from them (|matrix elements|, parities) is sign-free.
 """
 
 from __future__ import annotations
@@ -162,21 +162,27 @@ def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
         raise ValueError("matrix contains non-finite entries")
     if np.linalg.norm(a - a.T) > 1e-12 * max(float(np.linalg.norm(a)), 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
+    w, v = _eigh(a)
+    return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
+
+
+def _eigh(a: np.ndarray):
+    """numpy's ``eigh`` of a matrix or a stack; a LAPACK failure is a ConvergenceError."""
     try:
-        w, v = np.linalg.eigh(a)
+        return np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigh failed on a {a.shape} matrix: {exc}") from exc
-    return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
 
 
 def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     """Spectrum of the circuit Hamiltonian at the given truncation.
 
-    At epsilon = 0 the two parity chains are diagonalized separately, which
-    is faster and keeps forbidden transition matrix elements at the
-    rounding floor; otherwise the full dense matrix goes to LAPACK as built,
-    with no symmetry or finiteness pass: it is symmetric by construction,
-    and the overflow guard below bounds every entry of either path.
+    At epsilon = 0 the two parity chains are diagonalized in one LAPACK
+    call on their stack, which is faster and keeps forbidden transition
+    matrix elements at the rounding floor; otherwise the full dense matrix
+    goes to LAPACK as built, with no symmetry or finiteness pass: it is
+    symmetric by construction, and the overflow guard below bounds every
+    entry of either path.
 
     In the rotated (qubit-energy) basis, even-sector chain coordinate k pairs
     qubit g (k even) or e (k odd) with Fock state |k>; the odd sector swaps g
@@ -186,30 +192,19 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     _check_overflow(params, n_max)
     if params.epsilon != 0.0:
-        h = build_hamiltonian(params, n_max)
-        try:
-            w, v = np.linalg.eigh(h)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigh failed on a {h.shape} matrix: {exc}") from exc
+        w, v = _eigh(build_hamiltonian(params, n_max))
         return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
     k = np.arange(n_max + 1)
-    off = params.g * np.sqrt(k[1:])
-    even_sign = np.where(k % 2 == 0, 1.0, -1.0)
-    values, vectors = [], []
-    for sign in (even_sign, -even_sign):
-        diagonal = params.omega * k - 0.5 * params.delta * sign
-        chain = np.diag(diagonal) + np.diag(off, 1) + np.diag(off, -1)
-        try:
-            w, v = np.linalg.eigh(chain)
-        except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"eigh failed on a parity chain: {exc}") from exc
-        half = _SQRT_HALF * v
-        values.append(w)
-        vectors.append(np.vstack([half, sign[:, None] * half]))
-    w = np.concatenate(values)
-    order = np.argsort(w, kind="stable")
-    v = np.asfortranarray(np.hstack(vectors)[:, order])
-    return Spectrum(eigenvalues=w[order], eigenvectors=v, n_max=n_max)
+    signs = np.where(k % 2 == 0, 1.0, -1.0) * [[1.0], [-1.0]]  # (chain, k): even sector first
+    chains = np.zeros((2, k.size, k.size))
+    chains[:, k, k] = params.omega * k - 0.5 * params.delta * signs
+    chains[:, k[1:], k[:-1]] = chains[:, k[:-1], k[1:]] = params.g * np.sqrt(k[1:])
+    w, v = _eigh(chains)
+    lifted = _SQRT_HALF * np.concatenate([v, signs[:, :, None] * v], axis=1)  # (chain, row, col)
+    order = np.argsort(w.reshape(-1), kind="stable")
+    chain, column = np.divmod(order, k.size)
+    v = np.asfortranarray(lifted[chain, :, column].T)
+    return Spectrum(eigenvalues=w.reshape(-1)[order], eigenvectors=v, n_max=n_max)
 
 
 def _check_overflow(params: CircuitParams, n_max: int):
@@ -266,7 +261,10 @@ def _check_states(spec: Spectrum, states):
 
 
 def transition_matrix_element(spec: Spectrum, k: int, l: int) -> float:
-    """|<k|(a + a^dag)|l>| between eigenstates k and l."""
+    """|<k|(a + a^dag)|l>| between eigenstates k and l.
+
+    The one-pair reference that :func:`transition_matrix_elements` matches bit for bit.
+    """
     _check_states(spec, (k, l))
     return float(
         abs(spec.eigenvectors[:, k] @ _apply_quadrature(spec.eigenvectors[:, l], spec.n_max))
@@ -314,8 +312,8 @@ def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) ->
     indices = {("g", 0): 0, ("e", 0): 1}
     for n in range(max_photon):
         cand_a, cand_b = 2 * n + 2, 2 * n + 3
-        elem_a = transition_matrix_element(spec, cand_a, indices[("g", n)])
-        elem_b = transition_matrix_element(spec, cand_b, indices[("g", n)])
+        g_n = indices[("g", n)]
+        elem_a, elem_b = transition_matrix_elements(spec, [(cand_a, g_n), (cand_b, g_n)])
         a_wins = elem_a > LABEL_ELEMENT_FLOOR and elem_a > LABEL_ELEMENT_RATIO * elem_b
         b_wins = elem_b > LABEL_ELEMENT_FLOOR and elem_b > LABEL_ELEMENT_RATIO * elem_a
         if a_wins == b_wins:

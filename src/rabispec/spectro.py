@@ -47,18 +47,16 @@ class LineshapeParams:
     def __post_init__(self):
         if _lineshape_rejected(self.omega0, self.q_total, self.q_external, self.phi).any():
             raise ValueError(
-                "omega0 must be positive and finite, quality factors positive and phi "
+                "omega0 and quality factors must be positive and finite and phi "
                 f"finite, got {self}"
             )
 
 
 def _lineshape_rejected(omega0, q_total, q_external, phi):
-    """Where LineshapeParams rejects its fields, elementwise over stacked fields.
-
-    A NaN quality factor is not rejected.
-    """
-    finite = (omega0 > 0) & np.isfinite(omega0) & np.isfinite(phi)
-    return ~finite | (q_total <= 0) | (q_external <= 0)
+    """Where LineshapeParams rejects its fields, elementwise over stacked fields."""
+    positive = (omega0 > 0) & (q_total > 0) & (q_external > 0)  # False on NaN
+    finite = np.isfinite(omega0) & np.isfinite(q_total) & np.isfinite(q_external)
+    return ~(positive & finite & np.isfinite(phi))
 
 
 @dataclass(frozen=True)

@@ -178,7 +178,7 @@ def test_eigendecompose_rejects_asymmetric():
 
 
 def test_lapack_failure_is_convergence_error(monkeypatch):
-    # a LAPACK failure on either solver path surfaces as ConvergenceError
+    # a LAPACK failure on either solver path or in eigendecompose surfaces as ConvergenceError
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
@@ -187,6 +187,8 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
         p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=epsilon)
         with pytest.raises(ConvergenceError):
             rabi.solve(p, 10)
+    with pytest.raises(ConvergenceError):
+        rabi.eigendecompose(np.eye(3))
 
 
 def test_eigenvector_columns_contiguous():
@@ -341,6 +343,9 @@ def test_ambiguous_assignment_raises_with_both_elements(solved_sets):
         rabi.assign_labels(mixed, ref.params)
     err = excinfo.value
     assert err.element_a > 1e-6 and err.element_b > 1e-6
+    # the labels read the same bits as the one-pair reference
+    assert err.element_a == rabi.transition_matrix_element(mixed, 2, 0)
+    assert err.element_b == rabi.transition_matrix_element(mixed, 3, 0)
 
 
 def test_missing_label_raises(solved_sets):

@@ -37,6 +37,9 @@ def test_lineshape_validation():
         spectro.LineshapeParams(omega0=-1.0, q_total=1e3, q_external=1e3)
     with pytest.raises(ValueError):
         spectro.LineshapeParams(omega0=6.0, q_total=0.0, q_external=1e3)
+    for q_total, q_external in ((math.nan, 1e3), (1e3, math.nan), (math.inf, 1e3)):
+        with pytest.raises(ValueError):
+            spectro.LineshapeParams(omega0=6.0, q_total=q_total, q_external=q_external)
     with pytest.raises(ValueError):
         spectro.BackgroundPoly(tuple(range(10)))
 
@@ -115,23 +118,21 @@ def test_fit_lineshape_residual_rejects_rows_unevaluated(monkeypatch):
             [-6.13, -7e3, 1.2e4, -0.1, 1.1, 0.0, 0.003, 0.0001],
             good[:3] + [math.nan] + good[4:],
             [math.nan] + good[1:],
+            good[:1] + [math.nan] + good[2:],
+            good[:1] + [math.inf] + good[2:],
         ]
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         residuals = models[0](stack)
     assert residuals.shape == (len(stack), len(data))
-    assert np.all(residuals[[1, 2, 3, 5, 6]] == 1e6)
+    assert np.all(residuals[[1, 2, 3, 5, 6, 7, 8]] == 1e6)
     w, y = data[:, 0], data[:, 1]
     for i in (0, 4):
         shape = spectro.LineshapeParams(*np.abs(stack[i, :3]), phi=stack[i, 3])
         bg = spectro.BackgroundPoly(tuple(stack[i, 4:]), center=6.123)
         expected = np.abs(bg(w) * spectro.s21(shape, w)) - y
         assert residuals[i].tobytes() == expected.tobytes()
-    # a NaN quality factor breaks no LineshapeParams rule, so its row is evaluated
-    with np.errstate(invalid="ignore"):
-        nan_q = models[0](np.array([good[:1] + [math.nan] + good[2:]]))
-    assert np.all(np.isnan(nan_q))
 
 
 def test_fit_lineshape_rejects_flat_data():
