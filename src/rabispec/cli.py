@@ -377,12 +377,9 @@ def cmd_fit_s21(args):
     fits = []
     for eps in sorted(slices):
         data = np.asarray(slices[eps])
-        background = spectro.BackgroundPoly(
-            (1.0,) + (0.0,) * args.degree, center=float(np.mean(data[:, 0]))
-        )
         try:
             init = spectro.estimate_lineshape(data[:, 0], data[:, 1])
-            shape, poly, rms = spectro.fit_lineshape(data, init, background)
+            shape, poly, rms = spectro.fit_lineshape(data, init, args.degree)
         except IllConditionedDataError as exc:
             raise UsageError(f"input file {args.input} at epsilon_ghz {_cell(eps)}: {exc}") from exc
         fits.append(

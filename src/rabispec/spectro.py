@@ -8,9 +8,10 @@ lineshape
     S21(w_p) = 1 - (Q_L/Q_e) e^(i phi) / (1 + 2i Q_L (w_p - w0)/w0),
 
 multiplied by a smooth background polynomial of the probe frequency, and
-|S21| may exceed one for some phi.  Circuit parameters (delta, omega, g)
-are extracted by least-squares fits of measured transition frequencies to
-the diagonalized Hamiltonian.
+|S21| may exceed one for some phi.  The lineshape fit takes the background's
+degree and starts it flat, centred on the mean probe frequency.  Circuit
+parameters (delta, omega, g) are extracted by least-squares fits of measured
+transition frequencies to the diagonalized Hamiltonian.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ class LineshapeParams:
     phi: float = 0.0
 
     def __post_init__(self):
-        if _lineshape_rejected(self.omega0, self.q_total, self.q_external, self.phi).any():
+        if _lineshape_rejected(self.omega0, self.q_total, self.q_external, self.phi):
             raise ValueError(
                 "omega0 and quality factors must be positive and finite and phi "
                 f"finite, got {self}"
@@ -65,23 +66,21 @@ class BackgroundPoly:
 
     ``coefficients`` are ascending powers of (omega_p - center); fitting
     uses a centered variable because raw powers of a ~6 GHz frequency over
-    a narrow window are badly collinear.  A stack of k backgrounds holds a
-    (k, 1) column per coefficient and evaluates to (k, len(omega_p)).
+    a narrow window are badly collinear.
     """
 
     coefficients: tuple
     center: float = 0.0
 
     def __post_init__(self):
-        coefficients = np.asarray(self.coefficients, dtype=float)
+        coefficients = tuple(float(c) for c in self.coefficients)
         if not 1 <= len(coefficients) <= MAX_BACKGROUND_DEGREE + 1:
             raise ValueError(f"background degree must be between 0 and {MAX_BACKGROUND_DEGREE}")
-        stacked = coefficients if coefficients.ndim > 1 else coefficients.tolist()
-        object.__setattr__(self, "coefficients", tuple(stacked))
+        object.__setattr__(self, "coefficients", coefficients)
 
     def __call__(self, omega_p):
         u = np.asarray(omega_p, dtype=float) - self.center
-        return np.polynomial.polynomial.polyval(u, self.coefficients, tensor=False)[()]
+        return np.polynomial.polynomial.polyval(u, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -129,27 +128,32 @@ def transition_map(
     return TransitionMap(frequencies=freqs, elements=elems)
 
 
+def _notch(w, omega0, q_total, q_external, phi):
+    """The S21 formula, broadcast over its arguments; fields are not checked."""
+    depth = (q_total / q_external) * np.exp(1j * phi)
+    detuning = 1.0 + 2j * q_total * (w - omega0) / omega0
+    return 1.0 - depth / detuning
+
+
 def s21(params: LineshapeParams, omega_p):
     """Complex transmission of the side-coupled resonator at probe frequency."""
     w = np.asarray(omega_p, dtype=float)
     if np.any(w <= 0):
         raise ValueError("probe frequency must be positive")
-    depth = (params.q_total / params.q_external) * np.exp(1j * params.phi)
-    detuning = 1.0 + 2j * params.q_total * (w - params.omega0) / params.omega0
-    return (1.0 - depth / detuning)[()]
+    return _notch(w, params.omega0, params.q_total, params.q_external, params.phi)[()]
 
 
 def fit_lineshape(
-    data,
-    init: LineshapeParams,
-    background: BackgroundPoly | None = None,
+    data, init: LineshapeParams, degree: int = 3
 ) -> tuple[LineshapeParams, BackgroundPoly, float]:
     """Fit |S21_bg * S21| to measured magnitude data.
 
     ``data`` is a sequence of (omega_p, |S21|) pairs, MIN_LINESHAPE_POINTS or
-    more spanning the resonance.  The background polynomial is fitted jointly
-    with the lineshape (they enter multiplicatively).  Returns the fitted
-    lineshape, background, and RMS residual.
+    more spanning the resonance, all at positive probe frequencies.  The
+    background polynomial of the given ``degree`` is fitted jointly with the
+    lineshape (they enter multiplicatively); it starts flat at one and is
+    centred on the mean probe frequency.  Returns the fitted lineshape,
+    background, and RMS residual.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -163,33 +167,29 @@ def fit_lineshape(
         raise IllConditionedDataError("probe frequencies span no range")
     if np.ptp(y) < 1e-12 * max(float(np.max(np.abs(y))), 1.0):
         raise IllConditionedDataError("data show no resonance dip (flat magnitude)")
-    if background is None:
-        background = BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=float(np.mean(w)))
-    center = background.center
+    if np.any(w <= 0):
+        raise ValueError("probe frequency must be positive")
+    center = float(np.mean(w))
+    start = BackgroundPoly(tuple(float(k == 0) for k in range(degree + 1)), center)
+    u = w - center
 
     def fields(x):
         return abs(x[0]), abs(x[1]), abs(x[2]), x[3]
 
-    def unpack(x):
-        """Lineshape and background of a vector, or of a stack's (p, k, 1) columns."""
-        return LineshapeParams(*fields(x)), BackgroundPoly(tuple(x[4:]), center=center)
-
     def residual(stack):
         # rows that LineshapeParams rejects read 1e6 unevaluated: evaluating them warns
-        columns = stack.T[:, :, np.newaxis]
-        ok = ~_lineshape_rejected(*fields(columns))[:, 0]
+        x = stack.T[:, :, np.newaxis]
+        ok = ~_lineshape_rejected(*fields(x))[:, 0]
         out = np.full((len(stack), y.size), 1e6)
         if ok.any():
-            shape, poly = unpack(columns[:, ok])
-            out[ok] = np.abs(poly(w) * s21(shape, w)) - y
+            poly = np.polynomial.polynomial.polyval(u, x[4:, ok], tensor=False)
+            out[ok] = np.abs(poly * _notch(w, *fields(x[:, ok]))) - y
         return out
 
-    x0 = np.concatenate(
-        [[init.omega0, init.q_total, init.q_external, init.phi], background.coefficients]
-    )
+    x0 = np.array([init.omega0, init.q_total, init.q_external, init.phi, *start.coefficients])
     result = least_squares_lm(residual, x0)
-    shape, poly = unpack(result.x)
-    return shape, poly, result.rms
+    shape = LineshapeParams(*fields(result.x))
+    return shape, BackgroundPoly(tuple(result.x[4:]), center), result.rms
 
 
 def estimate_lineshape(omega_p, magnitude) -> LineshapeParams:

@@ -48,6 +48,8 @@ class ThreeLevelDrive:
     def __post_init__(self):
         if not self.omega_a < min(self.omega_b, self.omega_c):
             raise ValueError("level a must lie below both b and c")
+        if not all(math.isfinite(getattr(self, f.name)) for f in fields(self)):
+            raise ValueError(f"levels and drive coupling must be finite, got {self}")
         if self.rabi_bc < 0:
             raise ValueError(f"drive coupling must be >= 0, got {self.rabi_bc}")
 

@@ -208,8 +208,7 @@ def test_criterion_8_fit_roundtrips():
     w = np.linspace(truth.omega0 * (1 - 60 / 8e3), truth.omega0 * (1 + 60 / 8e3), 300)
     clean = np.abs(bg(w) * spectro.s21(truth, w))
     init = spectro.LineshapeParams(omega0=6.1228, q_total=7e3, q_external=1.2e4, phi=0.2)
-    bg_init = spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123)
-    shape, _, _ = spectro.fit_lineshape(np.column_stack([w, clean]), init, bg_init)
+    shape, _, _ = spectro.fit_lineshape(np.column_stack([w, clean]), init)
     shape_err = max(
         abs(shape.omega0 - truth.omega0) / truth.omega0,
         abs(shape.q_total - truth.q_total) / truth.q_total,
@@ -221,7 +220,7 @@ def test_criterion_8_fit_roundtrips():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         noisy = clean * (1.0 + 0.01 * rng.standard_normal(clean.size))
-        fit, _, _ = spectro.fit_lineshape(np.column_stack([w, noisy]), init, bg_init)
+        fit, _, _ = spectro.fit_lineshape(np.column_stack([w, noisy]), init)
         center_errors.append(abs(fit.omega0 - truth.omega0) / truth.omega0)
     median_center = float(np.median(center_errors))
 

@@ -42,6 +42,14 @@ def test_lineshape_validation():
             spectro.LineshapeParams(omega0=6.0, q_total=q_total, q_external=q_external)
     with pytest.raises(ValueError):
         spectro.BackgroundPoly(tuple(range(10)))
+    _, _, data = _synthetic_lineshape()
+    init = spectro.LineshapeParams(omega0=6.1228, q_total=7e3, q_external=1.2e4, phi=0.2)
+    for degree in (-1, 9):
+        with pytest.raises(ValueError, match="background degree"):
+            spectro.fit_lineshape(data, init, degree)
+    below_zero = data - [6.123 * (1 - 30 / 8e3), 0.0]
+    with pytest.raises(ValueError, match="probe frequency must be positive"):
+        spectro.fit_lineshape(below_zero, init)
 
 
 def _synthetic_lineshape(noise=0.0, seed=None):
@@ -58,9 +66,7 @@ def _synthetic_lineshape(noise=0.0, seed=None):
 def test_fit_lineshape_noiseless_roundtrip():
     truth, bg, data = _synthetic_lineshape()
     init = spectro.LineshapeParams(omega0=6.1228, q_total=7e3, q_external=1.2e4, phi=0.2)
-    shape, poly, rms = spectro.fit_lineshape(
-        data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123)
-    )
+    shape, poly, rms = spectro.fit_lineshape(data, init)
     assert rms < 1e-9
     assert shape.omega0 == pytest.approx(truth.omega0, rel=1e-3)
     assert shape.q_total == pytest.approx(truth.q_total, rel=1e-3)
@@ -74,9 +80,7 @@ def test_fit_lineshape_noisy_center_recovery():
     errors = []
     for seed in range(10):
         _, _, data = _synthetic_lineshape(noise=0.01, seed=seed)
-        shape, _, _ = spectro.fit_lineshape(
-            data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123)
-        )
+        shape, _, _ = spectro.fit_lineshape(data, init)
         errors.append(abs(shape.omega0 - truth.omega0) / truth.omega0)
     assert np.median(errors) < 1e-5
 
@@ -89,9 +93,7 @@ def test_fit_lineshape_error_shrinks_with_noise():
         errs = []
         for seed in range(5):
             _, _, data = _synthetic_lineshape(noise=noise, seed=seed)
-            shape, _, _ = spectro.fit_lineshape(
-                data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123)
-            )
+            shape, _, _ = spectro.fit_lineshape(data, init)
             errs.append(abs(shape.omega0 - truth.omega0) / truth.omega0)
         medians.append(float(np.median(errs)))
     assert medians[0] > medians[1] > medians[2]
@@ -107,7 +109,7 @@ def test_fit_lineshape_residual_rejects_rows_unevaluated(monkeypatch):
     monkeypatch.setattr(spectro, "least_squares_lm", spy)
     _, _, data = _synthetic_lineshape()
     init = spectro.LineshapeParams(omega0=6.1228, q_total=7e3, q_external=1.2e4, phi=0.2)
-    spectro.fit_lineshape(data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123))
+    spectro.fit_lineshape(data, init)
     good = [6.12, 8e3, 1.1e4, 0.3, 0.9, 0.01, -0.002, 0.0]
     stack = np.array(
         [
@@ -165,9 +167,7 @@ def test_lineshape_rejects_zero_probe_span():
 def test_estimate_lineshape_seeds_a_working_fit():
     truth, bg, data = _synthetic_lineshape()
     init = spectro.estimate_lineshape(data[:, 0], data[:, 1])
-    shape, _, rms = spectro.fit_lineshape(
-        data, init, spectro.BackgroundPoly((1.0, 0.0, 0.0, 0.0), center=6.123)
-    )
+    shape, _, rms = spectro.fit_lineshape(data, init)
     assert shape.omega0 == pytest.approx(truth.omega0, rel=1e-6)
 
 

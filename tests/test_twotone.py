@@ -17,6 +17,9 @@ def test_drive_validation():
         twotone.ThreeLevelDrive(6.0, 5.7, 11.3, 0.1)  # a not lowest
     with pytest.raises(ValueError):
         twotone.ThreeLevelDrive(0.0, 5.7, 11.3, -0.1)
+    for fields in ((0.0, 1.0, 2.0, math.nan), (0.0, 1.0, 2.0, math.inf), (0.0, 1.0, math.inf, 0.1)):
+        with pytest.raises(ValueError):
+            twotone.ThreeLevelDrive(*fields)
 
 
 def test_equal_b_c_reads_b_below_c():
