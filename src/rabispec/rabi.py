@@ -17,19 +17,22 @@ recursion implemented in :func:`assign_labels`.
 Eigendecomposition uses LAPACK through numpy's ``eigh``: at epsilon = 0
 in one call on the stack of the two parity chains, real symmetric
 tridiagonal matrices of dimension n_max+1, which keeps the eigenvectors
-exact parity states; at finite bias on the dense matrix.  :func:`solve`
-hands LAPACK the biased matrix directly: it is symmetric by construction,
-and one scalar guard refuses parameters whose entries would overflow a
-float.  Matrices that callers supply go through :func:`eigendecompose`,
-which checks shape, finiteness and symmetry first.  Eigenvectors keep
-LAPACK's sign; no sign convention is imposed, since every quantity read
-from them (|matrix elements|, parities) is sign-free.
+exact parity states; at finite bias on the dense matrix.  Every biased
+solve goes through :func:`solve_grid`, which fills the matrices of a whole
+bias grid into one stack and hands it to LAPACK in one call, with no
+symmetry or finiteness pass: each matrix is symmetric by construction, and
+one scalar guard refuses parameters whose entries would overflow a float.
+:func:`solve` is its one-point case.  Matrices that callers supply go
+through :func:`eigendecompose`, which checks shape, finiteness and
+symmetry first.  Eigenvectors keep LAPACK's sign; no sign convention is
+imposed, since every quantity read from them (|matrix elements|,
+parities) is sign-free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -124,28 +127,37 @@ class LabeledLevels:
 def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Dense real-symmetric Hamiltonian matrix in GHz, dimension 2*(n_max+1).
 
-    Filled in place: the diagonal omega*m -+ epsilon/2, the couplings +-g*sqrt(m)
-    beside it in each qubit block, and -delta/2 on the diagonals of the blocks
-    that sigma_x couples.  Every other entry is +0.0.
+    The one-point case of the stack that :func:`solve_grid` solves.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
+    return _fill_hamiltonians(params, np.array([params.epsilon], dtype=float), n_max)[0]
+
+
+def _fill_hamiltonians(params: CircuitParams, epsilons: np.ndarray, n_max: int) -> np.ndarray:
+    """The (P, d, d) stack of Hamiltonians at the P biases ``epsilons``, filled in place.
+
+    Each matrix holds the diagonal omega*m -+ epsilon/2, the couplings
+    +-g*sqrt(m) beside it in each qubit block, and -delta/2 on the diagonals
+    of the blocks that sigma_x couples.  Every other entry is +0.0.
+    """
     size = n_max + 1
     dim = 2 * size
     osc = params.omega * np.arange(size)
     coupling = params.g * np.sqrt(np.arange(1.0, size))
-    h = np.zeros((dim, dim))
-    flat = h.reshape(-1)  # a view: entry (r, c) is flat[r * dim + c]
+    half_bias = 0.5 * epsilons[:, np.newaxis]
+    h = np.zeros((epsilons.size, dim, dim))
+    flat = h.reshape(epsilons.size, -1)  # a view: entry (p, r, c) is flat[p, r * dim + c]
     step = dim + 1  # from one entry of a diagonal to the next
-    diagonal = flat[::step]
-    diagonal[:size] = osc - 0.5 * params.epsilon
-    diagonal[size:] = osc + 0.5 * params.epsilon
+    diagonal = flat[:, ::step]
+    diagonal[:, :size] = osc - half_bias
+    diagonal[:, size:] = osc + half_bias
     # entries (r, r+1) and (r+1, r); r = size-1 crosses the qubit blocks and stays 0
-    for band in (flat[1::step], flat[dim::step]):
-        band[: size - 1] = coupling
-        band[size:] = 0.0 - coupling  # at g = 0 this is +0.0, like every other zero
-    flat[size : size * dim : step] = -0.5 * params.delta
-    flat[size * dim :: step] = -0.5 * params.delta
+    for band in (flat[:, 1::step], flat[:, dim::step]):
+        band[:, : size - 1] = coupling
+        band[:, size:] = 0.0 - coupling  # at g = 0 this is +0.0, like every other zero
+    flat[:, size : size * dim : step] = -0.5 * params.delta
+    flat[:, size * dim :: step] = -0.5 * params.delta
     return h
 
 
@@ -179,21 +191,56 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
 
     At epsilon = 0 the two parity chains are diagonalized in one LAPACK
     call on their stack, which is faster and keeps forbidden transition
-    matrix elements at the rounding floor; otherwise the full dense matrix
-    goes to LAPACK as built, with no symmetry or finiteness pass: it is
-    symmetric by construction, and the overflow guard below bounds every
-    entry of either path.
+    matrix elements at the rounding floor; otherwise this is
+    :func:`solve_grid` on the one bias, bit for bit.  The eigenvector
+    columns are contiguous (Fortran order).
+    """
+    if params.epsilon != 0.0:
+        w, v = solve_grid(params, [params.epsilon], n_max)
+        return Spectrum(eigenvalues=w[0], eigenvectors=np.asfortranarray(v[0]), n_max=n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_overflow(params, [params.epsilon], n_max)
+    w, v = _solve_parity_chains(params, n_max)
+    return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
+
+
+def solve_grid(params: CircuitParams, epsilons, n_max: int = DEFAULT_N_MAX):
+    """Eigenvalues (P, d) and eigenvectors (P, d, d) at each of P biases.
+
+    Each point is ``params`` with epsilon set to the grid value (GHz); the
+    epsilon of ``params`` itself is ignored.  ``[p, :, k]`` is the
+    eigenvector of eigenvalue ``[p, k]``, as :func:`solve` would give it at
+    that bias, bit for bit.  Every point is checked, in grid order, before
+    anything is solved, so an error names the first point that fails.  The
+    biased points are filled into one (P', d, d) stack and solved in one
+    LAPACK call; points at epsilon = 0 (or -0.0) share one parity-chain
+    solve.  The stack takes 8*P*d*d bytes: callers bound P.
+    """
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1 or eps.size == 0:
+        raise ValueError("epsilons must be a non-empty 1-d array")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    _check_overflow(params, eps, n_max)
+    zero = eps == 0.0
+    if not zero.any():
+        return _eigh(_fill_hamiltonians(params, eps, n_max))
+    dim = 2 * (n_max + 1)
+    w, v = np.empty((eps.size, dim)), np.empty((eps.size, dim, dim))
+    w[zero], v[zero] = _solve_parity_chains(params, n_max)
+    if not zero.all():
+        w[~zero], v[~zero] = _eigh(_fill_hamiltonians(params, eps[~zero], n_max))
+    return w, v
+
+
+def _solve_parity_chains(params: CircuitParams, n_max: int):
+    """Eigenvalues and Fortran-order eigenvectors at epsilon = 0, from the parity chains.
 
     In the rotated (qubit-energy) basis, even-sector chain coordinate k pairs
     qubit g (k even) or e (k odd) with Fock state |k>; the odd sector swaps g
     and e.  A chain vector c lifts to (c, sign * c)/sqrt(2), sign +1 on g.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_overflow(params, n_max)
-    if params.epsilon != 0.0:
-        w, v = _eigh(build_hamiltonian(params, n_max))
-        return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
     k = np.arange(n_max + 1)
     signs = np.where(k % 2 == 0, 1.0, -1.0) * [[1.0], [-1.0]]  # (chain, k): even sector first
     chains = np.zeros((2, k.size, k.size))
@@ -203,24 +250,34 @@ def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     lifted = _SQRT_HALF * np.concatenate([v, signs[:, :, None] * v], axis=1)  # (chain, row, col)
     order = np.argsort(w.reshape(-1), kind="stable")
     chain, column = np.divmod(order, k.size)
-    v = np.asfortranarray(lifted[chain, :, column].T)
-    return Spectrum(eigenvalues=w.reshape(-1)[order], eigenvectors=v, n_max=n_max)
+    return w.reshape(-1)[order], np.asfortranarray(lifted[chain, :, column].T)
 
 
-def _check_overflow(params: CircuitParams, n_max: int):
+def _check_overflow(params: CircuitParams, epsilons, n_max: int):
     """Raise HamiltonianOverflowError unless every Hamiltonian entry is a finite float.
 
     No entry of the dense matrix or of a parity chain exceeds
-    omega*n_max + (|epsilon| + delta)/2 or g*sqrt(n_max) in magnitude.  The
-    products run on Python floats, so an overflow is an inf, not a warning.
+    omega*n_max + (|epsilon| + delta)/2 or g*sqrt(n_max) in magnitude.  That
+    bound grows with |epsilon|, so one test at the largest |epsilon| clears
+    a whole grid.  Only when it fails are the biases walked in order: the
+    error names the first one that fails, and a non-finite bias raises
+    CircuitParams' ValueError.  The products run on Python floats, so an
+    overflow is an inf, not a warning.
     """
-    qubit = abs(float(params.epsilon)) + float(params.delta)
-    diagonal = float(params.omega) * n_max + 0.5 * qubit
-    if not (math.isfinite(diagonal) and math.isfinite(float(params.g) * math.sqrt(n_max))):
-        raise HamiltonianOverflowError(
-            f"Hamiltonian entries overflow a float at delta={params.delta}, "
-            f"omega={params.omega}, g={params.g}, epsilon={params.epsilon}, n_max={n_max}"
-        )
+
+    def entries_finite(epsilon):
+        diagonal = float(params.omega) * n_max + 0.5 * (abs(epsilon) + float(params.delta))
+        return math.isfinite(diagonal) and math.isfinite(float(params.g) * math.sqrt(n_max))
+
+    if entries_finite(float(np.max(np.abs(epsilons)))):
+        return
+    for epsilon in epsilons:
+        point = replace(params, epsilon=float(epsilon))
+        if not entries_finite(point.epsilon):
+            raise HamiltonianOverflowError(
+                f"Hamiltonian entries overflow a float at delta={point.delta}, "
+                f"omega={point.omega}, g={point.g}, epsilon={point.epsilon}, n_max={n_max}"
+            )
 
 
 def parity_expectation(vector: np.ndarray, n_max: int) -> float:

@@ -16,7 +16,7 @@ transition frequencies to the diagonalized Hamiltonian.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,6 +30,8 @@ MIN_OBSERVATIONS = 6
 TRANSITIONS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3))
 # quadrature element at or below which a transition is invisible
 ELEMENT_FLOOR = 1e-3
+# bytes of Hamiltonian stack per rabi.solve_grid call in transition_map
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -112,20 +114,34 @@ def transition_map(
 
     Each grid point is ``params`` with epsilon set to the grid value (GHz);
     the epsilon of ``params`` itself is ignored.  States are ordinal (labels
-    |i n> are not defined away from the symmetry point).
+    |i n> are not defined away from the symmetry point).  The grid is
+    solved in blocks, one :func:`rabi.solve_grid` call each, whose
+    Hamiltonian stacks stay within _BLOCK_BYTES, so working memory is
+    bounded at any grid size and n_max; only the output arrays grow with
+    the grid.  Values are those of :func:`rabi.solve` and
+    :func:`rabi.transition_matrix_element` at each point, bit for bit.
     """
     grid = np.asarray(epsilon_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("epsilon grid must be a non-empty 1-d array")
-    freqs = {pair: np.empty(grid.size) for pair in TRANSITIONS}
-    elems = {pair: np.empty(grid.size) for pair in TRANSITIONS}
-    for i, eps in enumerate(grid):
-        spec = rabi.solve(replace(params, epsilon=float(eps)), n_max)
-        elements = rabi.transition_matrix_elements(spec, TRANSITIONS)
-        for (k, l), element in zip(TRANSITIONS, elements):
-            freqs[(k, l)][i] = spec.eigenvalues[l] - spec.eigenvalues[k]
-            elems[(k, l)][i] = element
-    return TransitionMap(frequencies=freqs, elements=elems)
+    lower, upper = np.array(TRANSITIONS).T
+    top = int(upper.max())
+    freqs = np.empty((len(TRANSITIONS), grid.size))
+    elems = np.empty((len(TRANSITIONS), grid.size))
+    dim = 2 * (n_max + 1)
+    rows = max(1, _BLOCK_BYTES // (8 * dim * dim))
+    for start in range(0, grid.size, rows):
+        block = slice(start, start + rows)
+        w, v = rabi.solve_grid(params, grid[block], n_max)
+        # contiguous eigenvector columns of states 0..top, as a Spectrum holds them
+        states = v[:, :, : top + 1].transpose(0, 2, 1).copy()
+        applied = rabi._apply_quadrature(states[:, 1:], n_max)  # states 1..top
+        dots = np.vecdot(states[:, :, np.newaxis], applied[:, np.newaxis])  # (P, k, l - 1)
+        freqs[:, block] = (w[:, upper] - w[:, lower]).T
+        elems[:, block] = np.abs(dots[:, lower, upper - 1]).T
+    return TransitionMap(
+        frequencies=dict(zip(TRANSITIONS, freqs)), elements=dict(zip(TRANSITIONS, elems))
+    )
 
 
 def _notch(w, omega0, q_total, q_external, phi):
@@ -149,11 +165,11 @@ def fit_lineshape(
     """Fit |S21_bg * S21| to measured magnitude data.
 
     ``data`` is a sequence of (omega_p, |S21|) pairs, MIN_LINESHAPE_POINTS or
-    more spanning the resonance, all at positive probe frequencies.  The
-    background polynomial of the given ``degree`` is fitted jointly with the
-    lineshape (they enter multiplicatively); it starts flat at one and is
-    centred on the mean probe frequency.  Returns the fitted lineshape,
-    background, and RMS residual.
+    more spanning the resonance, all finite and at positive probe
+    frequencies.  The background polynomial of the given ``degree`` is
+    fitted jointly with the lineshape (they enter multiplicatively); it
+    starts flat at one and is centred on the mean probe frequency.  Returns
+    the fitted lineshape, background, and RMS residual.
     """
     points = np.asarray(data, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2:
@@ -162,6 +178,8 @@ def fit_lineshape(
         raise IllConditionedDataError(
             f"need at least {MIN_LINESHAPE_POINTS} data points, got {points.shape[0]}"
         )
+    if not np.all(np.isfinite(points)):
+        raise ValueError("probe frequencies and magnitudes must be finite")
     w, y = points[:, 0], points[:, 1]
     if np.ptp(w) == 0:
         raise IllConditionedDataError("probe frequencies span no range")
@@ -240,20 +258,17 @@ def fit_circuit_params(
         )
     scale = np.array([max(init.delta, 0.1), init.omega, max(init.g, 0.1)])
     targets = np.array([freq for _, _, freq in rows])
-    by_eps = {}
-    for i, (eps, pair, _) in enumerate(rows):
-        by_eps.setdefault(eps, []).append((i, pair))
+    stack_row = {}  # distinct bias -> its row in the solve_grid stack, in first-seen order
+    at = np.array([stack_row.setdefault(eps, len(stack_row)) for eps, _, _ in rows])
+    lower, upper = np.array([pair for _, pair, _ in rows]).T
+    biases = list(stack_row)
 
     def residual(stack):
         out = np.empty((len(stack), len(rows)))
         for x, row in zip(stack, out):
             delta, omega, g = np.abs(x) * scale
-            for eps, entries in by_eps.items():
-                spec = rabi.solve(
-                    rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=eps), n_max
-                )
-                for i, (k, l) in entries:
-                    row[i] = spec.eigenvalues[l] - spec.eigenvalues[k]
+            w, _ = rabi.solve_grid(rabi.CircuitParams(delta=delta, omega=omega, g=g), biases, n_max)
+            row[:] = w[at, upper] - w[at, lower]
         return out - targets
 
     result = least_squares_lm(residual, np.array([init.delta, init.omega, init.g]) / scale)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rabispec import rabi
+from rabispec import rabi, spectro
 from rabispec.errors import AmbiguousLabelError, ConvergenceError, HamiltonianOverflowError
 
 
@@ -73,6 +73,26 @@ def test_biased_solve_is_eigendecompose_bit_for_bit():
         assert fast.eigenvalues.tobytes() == checked.eigenvalues.tobytes()
         assert fast.eigenvectors.tobytes() == checked.eigenvectors.tobytes()
         assert fast.n_max == checked.n_max == n_max
+        w, v = rabi.solve_grid(p, [epsilon], n_max)
+        assert w.shape == (1, 2 * (n_max + 1)) and v.shape == (1,) + fast.eigenvectors.shape
+        assert w[0].tobytes() == fast.eigenvalues.tobytes()
+        assert v[0].tobytes() == fast.eigenvectors.tobytes()
+
+
+def test_solve_grid_rows_are_the_pointwise_solves():
+    # one stack for the biased rows, one parity solve shared by both zeros
+    p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=5.0)
+    grid = [-0.4, 0.0, 0.3, -0.0, 2.0]
+    w, v = rabi.solve_grid(p, grid, 20)
+    for i, epsilon in enumerate(grid):
+        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=epsilon), 20)
+        assert w[i].tobytes() == spec.eigenvalues.tobytes()
+        assert v[i].tobytes() == spec.eigenvectors.tobytes()
+    for bad in ([], [[0.1]]):
+        with pytest.raises(ValueError, match="non-empty 1-d"):
+            rabi.solve_grid(p, bad, 20)
+    with pytest.raises(ValueError, match="n_max"):
+        rabi.solve_grid(p, grid, 0)
 
 
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
@@ -87,6 +107,8 @@ def test_solve_rejects_overflowing_entries(epsilon):
         p = rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=epsilon)
         with pytest.raises(HamiltonianOverflowError, match="overflow a float"):
             rabi.solve(p, n_max)
+        with pytest.raises(HamiltonianOverflowError, match=f"epsilon={epsilon},"):
+            rabi.solve_grid(p, [epsilon, 1.0], n_max)
     # a huge but representable circuit still goes to LAPACK
     p = rabi.CircuitParams(delta=1.0, omega=1e300, g=1.0, epsilon=epsilon)
     assert np.all(np.isfinite(rabi.solve(p, 4).eigenvalues))
@@ -187,6 +209,10 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
         p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=epsilon)
         with pytest.raises(ConvergenceError):
             rabi.solve(p, 10)
+        with pytest.raises(ConvergenceError):
+            rabi.solve_grid(p, [epsilon, 0.5], 10)
+        with pytest.raises(ConvergenceError):
+            spectro.transition_map(p, [epsilon, 0.5], 10)
     with pytest.raises(ConvergenceError):
         rabi.eigendecompose(np.eye(3))
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rabispec import levmar, rabi, spectro
-from rabispec.errors import IllConditionedDataError
+from rabispec.errors import HamiltonianOverflowError, IllConditionedDataError
 
 
 def test_s21_critically_coupled_dip():
@@ -50,6 +50,12 @@ def test_lineshape_validation():
     below_zero = data - [6.123 * (1 - 30 / 8e3), 0.0]
     with pytest.raises(ValueError, match="probe frequency must be positive"):
         spectro.fit_lineshape(below_zero, init)
+    # one non-finite cell is refused, not fitted to rms nan
+    for row, column, value in ((40, 1, math.nan), (40, 0, math.nan), (0, 0, math.inf)):
+        bad = data.copy()
+        bad[row, column] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            spectro.fit_lineshape(bad, init)
 
 
 def _synthetic_lineshape(noise=0.0, seed=None):
@@ -263,16 +269,63 @@ def test_transition_map_matches_labeled_gap_at_symmetry(solved_sets):
         assert tmap.frequencies[(0, 1)][0] == pytest.approx(gap, abs=1e-9)
 
 
-@pytest.mark.parametrize("set_id, grid", [("A", (-2.0, 0.0, 0.3, 2.0)), ("H", (-0.4, 0.0, 0.1))])
-def test_transition_map_elements_are_the_checked_elements(reference, set_id, grid):
-    # one quadrature pass per point gives the one-at-a-time elements exactly
+def _long_grid():
+    # about 200 points at n_max 40, a +0.0 and a -0.0 in the middle block
+    grid = np.linspace(-3.0, 3.0, 200)
+    rows = spectro._BLOCK_BYTES // (8 * 82 * 82)
+    assert rows < 80 and 2 * rows < grid.size
+    grid[rows + 10], grid[rows + 20] = 0.0, -0.0
+    return tuple(grid)
+
+
+@pytest.mark.parametrize(
+    "set_id, grid, n_max",
+    [
+        pytest.param("A", (-2.0, 0.0, 0.3, 2.0), 30, id="A-grid0"),
+        pytest.param("H", (-0.4, 0.0, 0.1), 30, id="H-grid1"),
+        pytest.param("H", _long_grid(), 40, id="H-blocks"),
+    ],
+)
+def test_transition_map_elements_are_the_checked_elements(reference, set_id, grid, n_max):
+    # one quadrature pass per block gives the one-at-a-time elements exactly
     p = reference[set_id].params
-    tmap = spectro.transition_map(p, np.array(grid), n_max=30)
+    tmap = spectro.transition_map(p, np.array(grid), n_max=n_max)
     for i, eps in enumerate(grid):
-        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=eps), 30)
+        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=eps), n_max)
         for k, l in spectro.TRANSITIONS:
             assert tmap.elements[(k, l)][i] == rabi.transition_matrix_element(spec, k, l)
             assert tmap.frequencies[(k, l)][i] == spec.eigenvalues[l] - spec.eigenvalues[k]
+
+
+def test_transition_map_one_eigh_per_block(reference, monkeypatch):
+    # three blocks: three dense stacks, plus one parity solve for the block holding the zeros
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    grid = np.array(_long_grid())
+    spectro.transition_map(reference["H"].params, grid, n_max=40)
+    rows = spectro._BLOCK_BYTES // (8 * 82 * 82)
+    assert calls == [(rows, 82, 82), (2, 41, 41), (rows - 2, 82, 82), (grid.size - 2 * rows, 82, 82)]
+
+
+def test_transition_map_refuses_the_first_bad_point():
+    p = rabi.CircuitParams(delta=1.0, omega=6.0, g=1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"epsilon must be finite, got {bad}"):
+            spectro.transition_map(p, np.array([0.1, 0.0, bad, 1e309 * 0.0]), n_max=12)
+    # every point overflows; the error names the first, not the epsilon = 0 one
+    huge = rabi.CircuitParams(delta=1.0, omega=1e307, g=1.0)
+    with pytest.raises(HamiltonianOverflowError, match="epsilon=-2.0,"):
+        spectro.transition_map(huge, np.array([-2.0, 0.0, 2.0]), n_max=40)
+    # only the last point overflows
+    wide = rabi.CircuitParams(delta=1.0, omega=2.4e307, g=1.0)
+    with pytest.raises(HamiltonianOverflowError, match="epsilon=1.7e[+]308,"):
+        spectro.transition_map(wide, np.array([0.0, 1.0, 1.7e308]), n_max=4)
 
 
 def test_transition_matrix_elements_checks_states(solved_sets):
