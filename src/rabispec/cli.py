@@ -190,10 +190,20 @@ def _hamiltonian_overflow(remedy: str = LOWER_CIRCUIT):
 
 
 def _resolve_grid(args, remedy: str = NARROW_GRID) -> np.ndarray:
+    """The --grid-* flags as an array; a range symmetric about 0 is an exact mirror.
+
+    np.linspace mirrors a symmetric range only up to rounding, and an odd
+    grid's midpoint lands near, not on, 0.  Averaging it with its negated
+    reverse gives grid == -grid[::-1] exactly, keeps both endpoints and puts
+    the midpoint at +0.0.
+    """
     if not args.grid_start < args.grid_stop:
         raise UsageError("grid start must be below grid stop")
     with _grid_overflow(args, f"{args.grid_points} grid points overflow a float on", remedy):
-        return np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+        grid = np.linspace(args.grid_start, args.grid_stop, args.grid_points)
+        if args.grid_start == -args.grid_stop:
+            grid = 0.5 * (grid - grid[::-1])
+        return grid
 
 
 def _read_csv_input(path, expected_header):

@@ -114,31 +114,43 @@ def transition_map(
 
     Each grid point is ``params`` with epsilon set to the grid value (GHz);
     the epsilon of ``params`` itself is ignored.  States are ordinal (labels
-    |i n> are not defined away from the symmetry point).  The grid is
-    solved in blocks, one :func:`rabi.solve_grid` call each, whose
-    Hamiltonian stacks stay within _BLOCK_BYTES, so working memory is
-    bounded at any grid size and n_max; only the output arrays grow with
-    the grid.  Values are those of :func:`rabi.solve` and
-    :func:`rabi.transition_matrix_element` at each point, bit for bit.
+    |i n> are not defined away from the symmetry point).  With U = sigma_x
+    (x) (-1)^(a^dagger a), H(-epsilon) = U H(epsilon) U^dagger and U maps
+    (a + a^dagger) to its negative, so the frequencies and |elements| at
+    -epsilon are those at +epsilon: each distinct |epsilon| of the grid is
+    solved once, and a row at -epsilon is the row of the |epsilon| solve.
+    The grid is checked in grid order first, so an error names its first
+    bad point with its sign.  The distinct |epsilon| are solved in blocks,
+    one :func:`rabi.solve_grid` call each, whose Hamiltonian stacks stay
+    within _BLOCK_BYTES, so working memory is bounded at any grid size and
+    n_max; only the output arrays grow with the grid.  Values are those of
+    :func:`rabi.solve` and :func:`rabi.transition_matrix_element` at
+    |epsilon|, bit for bit.
     """
     grid = np.asarray(epsilon_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("epsilon grid must be a non-empty 1-d array")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    rabi._check_overflow(params, grid, n_max)
+    # -0.0 folds onto +0.0 and so onto the parity path
+    mags, inverse = np.unique(np.abs(grid), return_inverse=True)
     lower, upper = np.array(TRANSITIONS).T
     top = int(upper.max())
-    freqs = np.empty((len(TRANSITIONS), grid.size))
-    elems = np.empty((len(TRANSITIONS), grid.size))
+    freqs = np.empty((len(TRANSITIONS), mags.size))
+    elems = np.empty((len(TRANSITIONS), mags.size))
     dim = 2 * (n_max + 1)
     rows = max(1, _BLOCK_BYTES // (8 * dim * dim))
-    for start in range(0, grid.size, rows):
+    for start in range(0, mags.size, rows):
         block = slice(start, start + rows)
-        w, v = rabi.solve_grid(params, grid[block], n_max)
+        w, v = rabi.solve_grid(params, mags[block], n_max)
         # contiguous eigenvector columns of states 0..top, as a Spectrum holds them
         states = v[:, :, : top + 1].transpose(0, 2, 1).copy()
         applied = rabi._apply_quadrature(states[:, 1:], n_max)  # states 1..top
         dots = np.vecdot(states[:, :, np.newaxis], applied[:, np.newaxis])  # (P, k, l - 1)
         freqs[:, block] = (w[:, upper] - w[:, lower]).T
         elems[:, block] = np.abs(dots[:, lower, upper - 1]).T
+    freqs, elems = freqs[:, inverse], elems[:, inverse]
     return TransitionMap(
         frequencies=dict(zip(TRANSITIONS, freqs)), elements=dict(zip(TRANSITIONS, elems))
     )

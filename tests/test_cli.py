@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -252,6 +253,49 @@ def test_grid_flags_never_crash(command, start, stop, points):
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") <= 1
     assert not caught, [str(w.message) for w in caught]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    a=st.floats(min_value=5e-324, max_value=1.7976931348623157e308),
+    points=st.integers(2, 2001),
+)
+@example(a=0.103, points=11)
+@example(a=5e-324, points=3)
+@example(a=1e300, points=3)
+@example(a=8.98846567431158e307, points=7)
+def test_symmetric_grid_is_an_exact_mirror(a, points):
+    args = argparse.Namespace(grid_start=-a, grid_stop=a, grid_points=points)
+    if not math.isfinite(2 * a):
+        with pytest.raises(cli.UsageError, match="overflow"):
+            cli._resolve_grid(args)
+        return
+    grid = cli._resolve_grid(args)
+    assert grid.size == points
+    assert np.array_equal(grid, -grid[::-1])
+    assert (grid[0], grid[-1]) == (-a, a)
+    assert np.all(np.diff(grid) >= 0)
+    if points % 2:
+        middle = grid[points // 2]
+        assert middle == 0.0 and math.copysign(1.0, middle) == 1.0
+
+
+def test_symmetric_spectrum_midpoint_is_the_parity_point(capsys):
+    # np.linspace put this midpoint at 1.39e-17, whose dense solve printed
+    # m03 = 2.16e-15 and mirrored rows that differed in m03's last digit
+    code, out, err = run_cli(
+        ["spectrum", "--set", "A", "--grid-start", "-0.103", "--grid-stop", "0.103",
+         "--grid-points", "11"],
+        capsys,
+    )
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    middle = rows[5]
+    assert middle[0] == "0"
+    assert float(middle[header.index("m03")]) < 1e-15
+    for i in range(5):
+        assert rows[i][0] == "-" + rows[10 - i][0]
+        assert rows[i][1:] == rows[10 - i][1:]
 
 
 @pytest.mark.parametrize(

@@ -287,18 +287,17 @@ def _long_grid():
     ],
 )
 def test_transition_map_elements_are_the_checked_elements(reference, set_id, grid, n_max):
-    # one quadrature pass per block gives the one-at-a-time elements exactly
+    # one quadrature pass per block gives the one-at-a-time elements at |eps| exactly
     p = reference[set_id].params
     tmap = spectro.transition_map(p, np.array(grid), n_max=n_max)
     for i, eps in enumerate(grid):
-        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=eps), n_max)
+        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=abs(eps)), n_max)
         for k, l in spectro.TRANSITIONS:
             assert tmap.elements[(k, l)][i] == rabi.transition_matrix_element(spec, k, l)
             assert tmap.frequencies[(k, l)][i] == spec.eigenvalues[l] - spec.eigenvalues[k]
 
 
-def test_transition_map_one_eigh_per_block(reference, monkeypatch):
-    # three blocks: three dense stacks, plus one parity solve for the block holding the zeros
+def _counted_eigh(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
 
@@ -307,10 +306,62 @@ def test_transition_map_one_eigh_per_block(reference, monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_transition_map_one_eigh_per_block(reference, monkeypatch):
+    # the distinct |eps| come in ascending order, so the +0.0 and -0.0 share
+    # one parity solve in the first block; three blocks of dense stacks follow
+    calls = _counted_eigh(monkeypatch)
     grid = np.array(_long_grid())
     spectro.transition_map(reference["H"].params, grid, n_max=40)
     rows = spectro._BLOCK_BYTES // (8 * 82 * 82)
-    assert calls == [(rows, 82, 82), (2, 41, 41), (rows - 2, 82, 82), (grid.size - 2 * rows, 82, 82)]
+    distinct = np.unique(np.abs(grid)).size
+    assert 2 * rows < distinct < grid.size
+    assert calls == [(2, 41, 41), (rows - 1, 82, 82), (rows, 82, 82), (distinct - 2 * rows, 82, 82)]
+    assert all(shape[0] <= rows for shape in calls)
+
+
+def test_transition_map_symmetric_grid_solves_each_magnitude_once(reference, monkeypatch):
+    # 11 exact mirrors about 0: one parity solve at 0 and one stack of the 5 positive points
+    calls = _counted_eigh(monkeypatch)
+    half = np.linspace(0.0, 2.0, 6)
+    grid = np.concatenate([-half[:0:-1], half])
+    assert np.array_equal(grid, -grid[::-1])
+    tmap = spectro.transition_map(reference["H"].params, grid, n_max=30)
+    assert calls == [(2, 31, 31), (5, 62, 62)]
+    # rows i and n - 1 - i are the same solve
+    for pair in spectro.TRANSITIONS:
+        for table in (tmap.frequencies, tmap.elements):
+            assert table[pair].tobytes() == table[pair][::-1].tobytes()
+
+
+@pytest.mark.parametrize("set_id", list("ABCDEFGHI"))
+def test_transition_map_mirror_matches_the_signed_solve(reference, set_id):
+    # Rows at -eps come from the +eps solve.  LAPACK's eigh is backward
+    # stable, so a direct solve at -eps moves each eigenvalue by a few
+    # eps_mach * ||H||, about 7e-14 GHz at n_max 40 (||H|| near 330 GHz);
+    # 1e-12 GHz leaves a factor of 14.  An element moves by at most about
+    # that times ||a + a^dagger|| (about 13) over the smallest gap of the
+    # five lowest levels (0.099 GHz, set I): 9e-12, within 1e-11.
+    p = reference[set_id].params
+    grid = np.linspace(-2.0, 2.0, 41)
+    tmap = spectro.transition_map(p, grid, n_max=40)
+    for i, eps in enumerate(grid):
+        spec = rabi.solve(rabi.CircuitParams(p.delta, p.omega, p.g, epsilon=eps), 40)
+        for k, l in spectro.TRANSITIONS:
+            freq = spec.eigenvalues[l] - spec.eigenvalues[k]
+            assert tmap.frequencies[(k, l)][i] == pytest.approx(freq, rel=0, abs=1e-12)
+            element = rabi.transition_matrix_element(spec, k, l)
+            assert tmap.elements[(k, l)][i] == pytest.approx(element, rel=0, abs=1e-11)
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_transition_map_refuses_n_max_below_one(n_max):
+    # checked before the overflow guard, whose sqrt(n_max) fails below 0
+    p = rabi.CircuitParams(delta=1.0, omega=6.0, g=1.0)
+    with pytest.raises(ValueError, match=f"n_max must be >= 1, got {n_max}"):
+        spectro.transition_map(p, np.array([-0.5, 0.5]), n_max=n_max)
 
 
 def test_transition_map_refuses_the_first_bad_point():
