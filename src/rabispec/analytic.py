@@ -24,6 +24,10 @@ import numpy as np
 from . import specfun
 from .errors import ConvergenceError
 
+# Largest (2, rows, n+1) Hermite stack of one overlap block, in bytes; the
+# recursion's few arrays of that size then fit in a core's L2 cache.
+_BLOCK_BYTES = 1 << 17
+
 
 def _displaced_overlap(n: int, beta):
     """exp(-2 beta^2) L_n(4 beta^2) for scalar or array beta, unvalidated."""
@@ -60,37 +64,52 @@ class OverlapResult:
     ``value_quadrature`` integrates the normalized wavefunctions by an exact
     Gauss-Hermite rule; ``value_closed_form`` is exp(-2 beta^2) L_n(4 beta^2).
     The two agree to rounding (that agreement is the oracle test for the
-    closed form).
+    closed form).  Both are floats for a scalar beta and arrays of beta's
+    shape for an array beta.
     """
 
-    value_quadrature: float
-    value_closed_form: float
+    value_quadrature: float | np.ndarray
+    value_closed_form: float | np.ndarray
 
 
-def overlap_integral(n: int, beta: float) -> OverlapResult:
-    """Overlap integral of phi_n(x, -beta) and phi_n(x, +beta).
+def overlap_integral(n: int, beta) -> OverlapResult:
+    """Overlap integral of phi_n(x, -beta) and phi_n(x, +beta), scalar or array beta.
 
     phi_n(x, beta) is the normalized coordinate wavefunction of D(beta)|n>,
     centered at x = beta.  With u = sqrt(2) x the two wavefunctions are psi_n(u +- sqrt(2) beta),
     and their product is exp(-u^2) times a polynomial of degree 2n, so the
     (n+1)-node Gauss-Hermite rule integrates it exactly.  The same rule
     must integrate psi_n^2 to one; a norm off by more than 1e-8 means the
-    rule or the Hermite functions are broken.
+    rule or the Hermite functions are broken.  That check does not depend
+    on beta, so it runs once per call.
+
+    An array beta is evaluated in blocks whose (2, rows, n+1) Hermite stacks
+    stay within _BLOCK_BYTES, so working memory is bounded at any grid size
+    and n; only the outputs grow with the grid.  Each value equals the
+    scalar call's bit for bit: the recursion is elementwise, and
+    ``np.vecdot`` takes the same dot product as the 1-d ``weights @ ...``.
     """
     if n < 0:
         raise ValueError(f"photon number must be >= 0, got {n}")
     nodes, weights = _hermite_rule(n)
-    shift = math.sqrt(2.0) * beta
-    left, right, centered = specfun.hermite_function(
-        n, np.stack([nodes + shift, nodes - shift, nodes])
-    )
+    centered = specfun.hermite_function(n, nodes)
     norm = float(weights @ (centered * centered))
     if abs(norm - 1.0) > 1e-8:
         raise ConvergenceError(
             f"{nodes.size}-node Gauss-Hermite rule does not normalize phi_{n}: norm {norm:.12f}"
         )
-    value = float(weights @ (left * right))
-    closed = float(_displaced_overlap(n, beta))
+    beta = np.asarray(beta, dtype=float)
+    shifts = math.sqrt(2.0) * beta.reshape(-1, 1)
+    value = np.empty(beta.size)
+    rows = max(1, _BLOCK_BYTES // (16 * nodes.size))
+    for start in range(0, beta.size, rows):
+        shift = shifts[start : start + rows]
+        left, right = specfun.hermite_function(n, np.stack([nodes + shift, nodes - shift]))
+        value[start : start + rows] = np.vecdot(left * right, weights)
+    value = value.reshape(beta.shape)
+    closed = _displaced_overlap(n, beta)
+    if beta.ndim == 0:
+        value, closed = float(value), float(closed)
     return OverlapResult(value_quadrature=value, value_closed_form=closed)
 
 

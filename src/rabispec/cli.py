@@ -62,22 +62,32 @@ def _write(text: str, path: str | None):
 def _render_table(args, command, header, rows, fmt=FLOAT_FMT, plot=None):
     """Write a table as ``--format`` asks; argparse offers svg only with a plot.
 
-    ``rows`` is a list of rows or a 2-d float array.  Each cell is formatted
-    once: a float prints with ``fmt``; NaN, None and "" print as a blank cell,
-    ``null`` in JSON; any other value prints with ``str``.  No header or cell
-    holds a comma, a quote or a newline, so the CSV is the cells joined with
-    "," and needs no quoting.  ``plot`` holds the keyword arguments of
-    :func:`svgplot.line_plot_svg` other than ``csv_text``, which is that CSV.
+    ``rows`` is a 2-d float array or a list of rows.  NaN, None and "" print
+    as a blank cell, ``null`` in JSON.  An array prints every other cell with
+    ``fmt`` by one ``%`` over the whole table: every row shares one template
+    of ``fmt`` fields, and a row holding NaN gets its own template with those
+    fields left empty and their values dropped.  In a list a float prints
+    with ``fmt`` and any other value with ``str``, cell by cell, since it may
+    hold text, None or ints.  No header or cell holds a comma, a quote or a
+    newline, so the CSV is the cells joined with "," and needs no quoting.
+    ``plot`` holds the keyword arguments of :func:`svgplot.line_plot_svg`
+    other than ``csv_text``, which is that CSV.
     """
-    if isinstance(rows, np.ndarray):
-        rows = rows.tolist()
-    cells = [[_cell(v, fmt) for v in row] for row in rows]
     if args.format == "json":
-        nulled = [[v if c else None for v, c in zip(row, texts)] for row, texts in zip(rows, cells)]
+        values = rows.tolist() if isinstance(rows, np.ndarray) else rows
+        nulled = [[None if v is None or v == "" or v != v else v for v in row] for row in values]
         body = {"command": command, "columns": list(header), "rows": nulled}
         _write(json.dumps(body, indent=2) + "\n", args.out)
         return
-    text = "".join(",".join(line) + "\n" for line in [header, *cells])
+    if isinstance(rows, np.ndarray):
+        blank = np.isnan(rows)
+        lines = [",".join([fmt] * rows.shape[1]) + "\n"] * rows.shape[0]
+        for r in np.flatnonzero(blank.any(axis=1)).tolist():
+            lines[r] = ",".join(["" if b else fmt for b in blank[r].tolist()]) + "\n"
+        body = "".join(lines) % tuple(rows[~blank].tolist())
+    else:
+        body = "".join(",".join([_cell(v, fmt) for v in row]) + "\n" for row in rows)
+    text = ",".join(header) + "\n" + body
     if args.format == "svg":
         text = svgplot.line_plot_svg(csv_text=text, **plot)
     _write(text, args.out)
@@ -359,12 +369,10 @@ def cmd_overlap(args):
         raise UsageError("overlap grid must start at beta >= 0")
     ref = analytic.overlap_integral(args.n, 0.0).value_quadrature
     header = ["beta", "overlap_quadrature", "overlap_closed_form", "ratio_to_zero_coupling"]
-    rows, ratio = [], []
     with _grid_overflow(args, f"the {args.n}-photon overlap overflows on the beta grid"):
-        for beta in grid:
-            res = analytic.overlap_integral(args.n, float(beta))
-            ratio.append(res.value_quadrature / ref)
-            rows.append([float(beta), res.value_quadrature, res.value_closed_form, ratio[-1]])
+        res = analytic.overlap_integral(args.n, grid)
+        ratio = res.value_quadrature / ref
+    rows = np.column_stack([grid, res.value_quadrature, res.value_closed_form, ratio])
     plot = {
         "title": f"overlap of oppositely displaced {args.n}-photon packets",
         "xlabel": "g/omega",

@@ -52,9 +52,8 @@ def test_overlap_trivial_point():
 
 def test_overlap_quadrature_matches_closed_form():
     for n in range(MAX_PHOTONS + 1):
-        for beta in np.linspace(0.0, 2.0, 21):
-            res = analytic.overlap_integral(n, float(beta))
-            assert abs(res.value_quadrature - res.value_closed_form) < 1e-12, (n, beta)
+        res = analytic.overlap_integral(n, np.linspace(0.0, 2.0, 21))
+        assert np.all(abs(res.value_quadrature - res.value_closed_form) < 1e-12), n
 
 
 def test_overlap_two_photon_extrema():
@@ -75,6 +74,40 @@ def test_overlap_two_photon_extrema():
     assert b_max == pytest.approx(1.27, abs=2e-3)
 
 
+@pytest.mark.parametrize("n", [*range(9), 100])
+@pytest.mark.parametrize("block_rows", [1, 4, None])
+def test_overlap_array_is_the_scalar_loop(n, block_rows, monkeypatch):
+    # None keeps the default block size; 1 and 4 rows put block edges inside
+    # the 41-point grid, which holds beta = 0
+    if block_rows is not None:
+        monkeypatch.setattr(analytic, "_BLOCK_BYTES", 16 * (n + 1) * block_rows)
+    grid = np.linspace(0.0, 2.0, 41)
+    got = analytic.overlap_integral(n, grid)
+    want = [analytic.overlap_integral(n, float(beta)) for beta in grid]
+    assert type(want[0].value_quadrature) is float and type(want[0].value_closed_form) is float
+    assert np.array_equal(got.value_quadrature, [w.value_quadrature for w in want])
+    assert np.array_equal(got.value_closed_form, [w.value_closed_form for w in want])
+    square = analytic.overlap_integral(n, grid[1:].reshape(5, 8))
+    assert np.array_equal(square.value_quadrature.ravel(), got.value_quadrature[1:])
+
+
+def test_overlap_grid_memory_is_bounded():
+    import tracemalloc
+
+    grid = np.linspace(0.0, 1.5, 100_000)
+    tracemalloc.start()
+    try:
+        analytic.overlap_integral(MAX_PHOTONS, grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # grid-sized arrays: the closed form's Laguerre recursion holds six at
+    # once, beside the shift column and the quadrature output; block-sized:
+    # the Hermite recursion of one block holds about seven.  An unblocked
+    # (2, 100000, 101) stack alone is 162 MB.
+    assert peak < 10 * grid.nbytes + 8 * analytic._BLOCK_BYTES, peak
+
+
 @pytest.fixture
 def fresh_rules():
     """An empty Gauss-Hermite rule cache, emptied again afterwards."""
@@ -89,6 +122,8 @@ def test_overlap_reports_bad_quadrature(monkeypatch, fresh_rules):
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", lambda deg: hermgauss(deg - 1))
     with pytest.raises(ConvergenceError):
         analytic.overlap_integral(5, 2.0)
+    with pytest.raises(ConvergenceError):
+        analytic.overlap_integral(5, np.linspace(0.0, 2.0, 5))
 
 
 def test_overlap_rule_built_once_per_order(monkeypatch, fresh_rules):
@@ -102,6 +137,9 @@ def test_overlap_rule_built_once_per_order(monkeypatch, fresh_rules):
     monkeypatch.setattr(np.polynomial.hermite, "hermgauss", counting)
     first = analytic.overlap_integral(7, 0.4)
     second = analytic.overlap_integral(7, 0.9)
+    # an array call spanning several blocks takes the cached rule too
+    monkeypatch.setattr(analytic, "_BLOCK_BYTES", 16 * 8 * 3)
+    analytic.overlap_integral(7, np.linspace(0.0, 1.0, 10))
     assert orders == [8]
     assert first != second
     nodes, weights = analytic._hermite_rule(7)

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rabispec import cli, refdata, spectro
+from rabispec import cli, refdata, spectro, svgplot
 from rabispec.cli import MAX_GRID_POINTS, MAX_PHOTONS, main
 
 
@@ -104,6 +105,56 @@ def test_shift_curves_json_nulls(capsys):
     measured = {row["set"]: row for row in rows if row["kind"] == "measured"}
     assert measured["A"]["d2_over_delta"] is None
     assert measured["B"]["d2_over_delta"] is not None
+
+
+def _per_cell_table(form, command, header, rows, fmt, plot):
+    """The table as the per-cell rules print it: the reference for _render_table."""
+
+    def cell(value):
+        if isinstance(value, float):
+            return "" if math.isnan(value) else fmt % value
+        return "" if value is None else str(value)
+
+    rows = rows.tolist() if isinstance(rows, np.ndarray) else rows
+    cells = [[cell(v) for v in row] for row in rows]
+    if form == "json":
+        nulled = [[v if c else None for v, c in zip(row, texts)] for row, texts in zip(rows, cells)]
+        body = {"command": command, "columns": list(header), "rows": nulled}
+        return json.dumps(body, indent=2) + "\n"
+    text = "".join(",".join(line) + "\n" for line in [header, *cells])
+    return svgplot.line_plot_svg(csv_text=text, **plot) if form == "svg" else text
+
+
+EDGE_FLOATS = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308, 1e308, -1e308)
+TABLE_FLOATS = st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS))
+TABLE_CELLS = st.one_of(
+    TABLE_FLOATS, st.none(), st.just(""), st.text("abcAB_-", max_size=4), st.integers(-10**6, 10**6)
+)
+
+
+@st.composite
+def _tables(draw):
+    width = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        shape = (draw(st.integers(0, 8)), width)
+        return draw(hnp.arrays(np.float64, shape, elements=TABLE_FLOATS))
+    row = st.lists(TABLE_CELLS, min_size=width, max_size=width)
+    return draw(st.lists(row, max_size=8))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=_tables(), fmt=st.sampled_from([cli.FLOAT_FMT, cli.GHZ_FMT]),
+       form=st.sampled_from(["csv", "json", "svg"]))
+@example(rows=np.array([[math.nan, -0.0, 5e-324], [1e308, math.nan, math.nan]]),
+         fmt=cli.GHZ_FMT, form="csv")
+def test_render_table_matches_per_cell_rules(rows, fmt, form):
+    width = rows.shape[1] if isinstance(rows, np.ndarray) else len(rows[0]) if rows else 1
+    header = [f"c{j}" for j in range(width)]
+    plot = {"title": "t", "xlabel": "x", "ylabel": "y", "series": [("s", [0.0, 1.0], [2.0, 3.0])]}
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._render_table(argparse.Namespace(format=form, out="-"), "table", header, rows, fmt, plot)
+    assert out.getvalue() == _per_cell_table(form, "table", header, rows, fmt, plot)
 
 
 def test_byte_identical_reruns(capsys):
