@@ -157,9 +157,10 @@ def _finite_float(relation: str | None = None):
     return parse
 
 
-# flag types: a Fock truncation, a photon number, a background degree, a
-# grid size, and finite floats of any sign, >= 0 and > 0
+# flag types: a Fock truncation, one that holds six labelled levels, a photon number,
+# a background degree, a grid size, and finite floats of any sign, >= 0 and > 0
 _nmax = _int_in(1)
+_nmax_labelled = _int_in(2)
 _photons = _int_in(0, MAX_PHOTONS)
 _degree = _int_in(0, spectro.MAX_BACKGROUND_DEGREE)
 _grid_points = _int_in(2, MAX_GRID_POINTS)
@@ -471,7 +472,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     sp = sub.add_parser("shift-table", help="computed vs reference qubit frequencies")
-    sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
+    sp.add_argument("--nmax", type=_nmax_labelled, default=rabi.DEFAULT_N_MAX)
     _add_output_flags(sp, formats=("csv", "json"))
 
     sp = sub.add_parser("shift-curves", help="normalized frequency curves and points")
@@ -494,7 +495,7 @@ def build_parser() -> _Parser:
     _add_param_flags(sp)
     sp.add_argument("--panel", choices=tuple(twotone.PANEL_TRIPLES), required=True)
     sp.add_argument("--rabi-bc", type=_nonnegative, required=True, help="drive coupling, GHz")
-    sp.add_argument("--nmax", type=_nmax, default=rabi.DEFAULT_N_MAX)
+    sp.add_argument("--nmax", type=_nmax_labelled, default=rabi.DEFAULT_N_MAX)
     _add_grid_flags(sp, None, None, 201)
     _add_output_flags(sp)
 

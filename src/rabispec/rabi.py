@@ -17,16 +17,18 @@ recursion implemented in :func:`assign_labels`.
 Eigendecomposition uses LAPACK through numpy's ``eigh``: at epsilon = 0
 in one call on the stack of the two parity chains, real symmetric
 tridiagonal matrices of dimension n_max+1, which keeps the eigenvectors
-exact parity states; at finite bias on the dense matrix.  Every biased
-solve goes through :func:`solve_grid`, which fills the matrices of a whole
-bias grid into one stack and hands it to LAPACK in one call, with no
-symmetry or finiteness pass: each matrix is symmetric by construction, and
-one scalar guard refuses parameters whose entries would overflow a float.
-:func:`solve` is its one-point case.  Matrices that callers supply go
-through :func:`eigendecompose`, which checks shape, finiteness and
-symmetry first.  Eigenvectors keep LAPACK's sign; no sign convention is
-imposed, since every quantity read from them (|matrix elements|,
-parities) is sign-free.
+exact parity states; at finite bias on the dense matrix.  The one solve
+path is :func:`solve_grid`: one check of the whole bias grid, then the
+matrices of the grid in one stack, in one LAPACK call, with no symmetry or
+finiteness pass, since each matrix is symmetric by construction and one
+scalar guard refuses entries that would overflow a float.  :func:`solve`
+is its one-point row.  Matrices that callers supply go through
+:func:`eigendecompose`, which checks shape, finiteness and symmetry first.
+Every quadrature element comes from one kernel,
+:func:`transition_matrix_elements`, which copies the columns it reads, so
+no memory layout of the eigenvectors is promised.  Eigenvectors keep
+LAPACK's sign; no sign convention is imposed, since every quantity read
+from them (|matrix elements|, parities) is sign-free.
 """
 
 from __future__ import annotations
@@ -127,11 +129,9 @@ class LabeledLevels:
 def build_hamiltonian(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> np.ndarray:
     """Dense real-symmetric Hamiltonian matrix in GHz, dimension 2*(n_max+1).
 
-    The one-point case of the stack that :func:`solve_grid` solves.
+    The one-point case of the stack that :func:`solve_grid` solves, after its grid check.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    return _fill_hamiltonians(params, np.array([params.epsilon], dtype=float), n_max)[0]
+    return _fill_hamiltonians(params, _check_grid(params, [params.epsilon], n_max), n_max)[0]
 
 
 def _fill_hamiltonians(params: CircuitParams, epsilons: np.ndarray, n_max: int) -> np.ndarray:
@@ -164,8 +164,7 @@ def _fill_hamiltonians(params: CircuitParams, epsilons: np.ndarray, n_max: int) 
 def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
     """Decompose a real symmetric matrix into a :class:`Spectrum` (LAPACK).
 
-    Eigenvalues ascend; each eigenvector carries whatever sign LAPACK gave
-    it.  The eigenvector columns are contiguous (Fortran order).
+    Eigenvalues ascend; each eigenvector carries whatever sign LAPACK gave it.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -175,7 +174,7 @@ def eigendecompose(matrix: np.ndarray, n_max: int | None = None) -> Spectrum:
     if np.linalg.norm(a - a.T) > 1e-12 * max(float(np.linalg.norm(a)), 1e-300):
         raise ValueError("matrix is not symmetric to 1e-12 relative")
     w, v = _eigh(a)
-    return Spectrum(eigenvalues=w, eigenvectors=np.asfortranarray(v), n_max=n_max)
+    return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
 
 
 def _eigh(a: np.ndarray):
@@ -189,20 +188,12 @@ def _eigh(a: np.ndarray):
 def solve(params: CircuitParams, n_max: int = DEFAULT_N_MAX) -> Spectrum:
     """Spectrum of the circuit Hamiltonian at the given truncation.
 
-    At epsilon = 0 the two parity chains are diagonalized in one LAPACK
-    call on their stack, which is faster and keeps forbidden transition
-    matrix elements at the rounding floor; otherwise this is
-    :func:`solve_grid` on the one bias, bit for bit.  The eigenvector
-    columns are contiguous (Fortran order).
+    The one row of :func:`solve_grid` on the grid [params.epsilon]: at
+    epsilon = 0 the two parity chains, which keeps forbidden transition
+    matrix elements at the rounding floor; otherwise the dense matrix.
     """
-    if params.epsilon != 0.0:
-        w, v = solve_grid(params, [params.epsilon], n_max)
-        return Spectrum(eigenvalues=w[0], eigenvectors=np.asfortranarray(v[0]), n_max=n_max)
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_overflow(params, [params.epsilon], n_max)
-    w, v = _solve_parity_chains(params, n_max)
-    return Spectrum(eigenvalues=w, eigenvectors=v, n_max=n_max)
+    w, v = solve_grid(params, [params.epsilon], n_max)
+    return Spectrum(eigenvalues=w[0], eigenvectors=v[0], n_max=n_max)
 
 
 def solve_grid(params: CircuitParams, epsilons, n_max: int = DEFAULT_N_MAX):
@@ -210,19 +201,14 @@ def solve_grid(params: CircuitParams, epsilons, n_max: int = DEFAULT_N_MAX):
 
     Each point is ``params`` with epsilon set to the grid value (GHz); the
     epsilon of ``params`` itself is ignored.  ``[p, :, k]`` is the
-    eigenvector of eigenvalue ``[p, k]``, as :func:`solve` would give it at
-    that bias, bit for bit.  Every point is checked, in grid order, before
-    anything is solved, so an error names the first point that fails.  The
-    biased points are filled into one (P', d, d) stack and solved in one
-    LAPACK call; points at epsilon = 0 (or -0.0) share one parity-chain
-    solve.  The stack takes 8*P*d*d bytes: callers bound P.
+    eigenvector of eigenvalue ``[p, k]``.  The grid passes
+    :func:`_check_grid` before anything is solved, so an error names the
+    first point that fails.  The biased points are filled into one
+    (P', d, d) stack and solved in one LAPACK call; points at epsilon = 0
+    (or -0.0) share one parity-chain solve.  The stack takes 8*P*d*d
+    bytes: callers bound P.
     """
-    eps = np.asarray(epsilons, dtype=float)
-    if eps.ndim != 1 or eps.size == 0:
-        raise ValueError("epsilons must be a non-empty 1-d array")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_overflow(params, eps, n_max)
+    eps = _check_grid(params, epsilons, n_max)
     zero = eps == 0.0
     if not zero.any():
         return _eigh(_fill_hamiltonians(params, eps, n_max))
@@ -235,7 +221,7 @@ def solve_grid(params: CircuitParams, epsilons, n_max: int = DEFAULT_N_MAX):
 
 
 def _solve_parity_chains(params: CircuitParams, n_max: int):
-    """Eigenvalues and Fortran-order eigenvectors at epsilon = 0, from the parity chains.
+    """Eigenvalues and eigenvectors at epsilon = 0, from the parity chains.
 
     In the rotated (qubit-energy) basis, even-sector chain coordinate k pairs
     qubit g (k even) or e (k odd) with Fock state |k>; the odd sector swaps g
@@ -250,34 +236,40 @@ def _solve_parity_chains(params: CircuitParams, n_max: int):
     lifted = _SQRT_HALF * np.concatenate([v, signs[:, :, None] * v], axis=1)  # (chain, row, col)
     order = np.argsort(w.reshape(-1), kind="stable")
     chain, column = np.divmod(order, k.size)
-    return w.reshape(-1)[order], np.asfortranarray(lifted[chain, :, column].T)
+    return w.reshape(-1)[order], lifted[chain, :, column].T
 
 
-def _check_overflow(params: CircuitParams, epsilons, n_max: int):
-    """Raise HamiltonianOverflowError unless every Hamiltonian entry is a finite float.
+def _check_grid(params: CircuitParams, epsilons, n_max: int) -> np.ndarray:
+    """The bias grid as a float array, once every check of a grid solve has passed.
 
-    No entry of the dense matrix or of a parity chain exceeds
+    The grid must be a non-empty 1-d array and n_max at least 1 (ValueError).
+    No entry of the dense matrix or of a parity chain then exceeds
     omega*n_max + (|epsilon| + delta)/2 or g*sqrt(n_max) in magnitude.  That
     bound grows with |epsilon|, so one test at the largest |epsilon| clears
-    a whole grid.  Only when it fails are the biases walked in order: the
-    error names the first one that fails, and a non-finite bias raises
-    CircuitParams' ValueError.  The products run on Python floats, so an
-    overflow is an inf, not a warning.
+    a whole grid.  Only when it fails are the biases walked in order: a
+    HamiltonianOverflowError names the first one whose entries overflow a
+    float, and a non-finite bias raises CircuitParams' ValueError.  The
+    products run on Python floats, so an overflow is an inf, not a warning.
     """
+    eps = np.asarray(epsilons, dtype=float)
+    if eps.ndim != 1 or eps.size == 0:
+        raise ValueError("epsilon grid must be a non-empty 1-d array")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
 
     def entries_finite(epsilon):
         diagonal = float(params.omega) * n_max + 0.5 * (abs(epsilon) + float(params.delta))
         return math.isfinite(diagonal) and math.isfinite(float(params.g) * math.sqrt(n_max))
 
-    if entries_finite(float(np.max(np.abs(epsilons)))):
-        return
-    for epsilon in epsilons:
-        point = replace(params, epsilon=float(epsilon))
-        if not entries_finite(point.epsilon):
-            raise HamiltonianOverflowError(
-                f"Hamiltonian entries overflow a float at delta={point.delta}, "
-                f"omega={point.omega}, g={point.g}, epsilon={point.epsilon}, n_max={n_max}"
-            )
+    if not entries_finite(float(np.max(np.abs(eps)))):
+        for epsilon in eps:
+            point = replace(params, epsilon=float(epsilon))
+            if not entries_finite(point.epsilon):
+                raise HamiltonianOverflowError(
+                    f"Hamiltonian entries overflow a float at delta={point.delta}, "
+                    f"omega={point.omega}, g={point.g}, epsilon={point.epsilon}, n_max={n_max}"
+                )
+    return eps
 
 
 def parity_expectation(vector: np.ndarray, n_max: int) -> float:
@@ -310,37 +302,39 @@ def _apply_quadrature(vectors: np.ndarray, n_max: int) -> np.ndarray:
     return out.reshape(vectors.shape)
 
 
-def _check_states(spec: Spectrum, states):
-    if spec.n_max is None:
+def _check_states(n_max: int | None, dim: int, states):
+    if n_max is None:
         raise ValueError("spectrum carries no truncation size")
-    if min(states) < 0 or max(states) >= spec.dim:
-        raise IndexError(f"state indices {tuple(states)} out of range for dim {spec.dim}")
+    if min(states) < 0 or max(states) >= dim:
+        raise IndexError(f"state indices {tuple(states)} out of range for dim {dim}")
 
 
 def transition_matrix_element(spec: Spectrum, k: int, l: int) -> float:
     """|<k|(a + a^dag)|l>| between eigenstates k and l.
 
-    The one-pair reference that :func:`transition_matrix_elements` matches bit for bit.
+    The one-pair reference that :func:`transition_matrix_elements` matches
+    bit for bit: both dot contiguous copies of the columns.
     """
-    _check_states(spec, (k, l))
-    return float(
-        abs(spec.eigenvectors[:, k] @ _apply_quadrature(spec.eigenvectors[:, l], spec.n_max))
-    )
+    _check_states(spec.n_max, spec.dim, (k, l))
+    bra, ket = spec.eigenvectors[:, k].copy(), spec.eigenvectors[:, l].copy()
+    return float(abs(bra @ _apply_quadrature(ket, spec.n_max)))
 
 
-def transition_matrix_elements(spec: Spectrum, pairs) -> list[float]:
-    """:func:`transition_matrix_element` for each (k, l) of ``pairs``, bit for bit.
+def transition_matrix_elements(eigenvectors: np.ndarray, n_max: int | None, top: int):
+    """|<k|(a + a^dag)|l>| for all states k, l <= top: a (..., top+1, top+1) array.
 
-    The quadrature is applied once, to the eigenvector columns from the
-    lowest to the highest l; each element is then the same contiguous dot
-    product.  (One matmul over all pairs would sum in another order.)
+    ``eigenvectors`` holds eigenstates as columns: a :class:`Spectrum`'s
+    (d, d) array or the (P, d, d) stack of :func:`solve_grid`, of any
+    memory layout.  Each element is :func:`transition_matrix_element`'s,
+    bit for bit: the columns of states 0..top are copied contiguous, the
+    quadrature is applied to them once, and each element is the same
+    contiguous dot product, taken by one broadcast ``np.vecdot``.
     """
-    _check_states(spec, [s for pair in pairs for s in pair])
-    first = min(l for _, l in pairs)
-    last = max(l for _, l in pairs)
-    v = spec.eigenvectors
-    applied = _apply_quadrature(v[:, first : last + 1].T, spec.n_max)
-    return [float(abs(v[:, k] @ applied[l - first])) for k, l in pairs]
+    v = np.asarray(eigenvectors)
+    _check_states(n_max, v.shape[-1], (0, top))
+    states = np.swapaxes(v[..., : top + 1], -1, -2).copy()  # (..., top+1, d): row k is state k
+    applied = _apply_quadrature(states, n_max)
+    return np.abs(np.vecdot(states[..., :, np.newaxis, :], applied[..., np.newaxis, :, :]))
 
 
 def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) -> LabeledLevels:
@@ -366,11 +360,12 @@ def assign_labels(spec: Spectrum, params: CircuitParams, max_photon: int = 2) ->
             f"need at least {2 * max_photon + 2} states for labels up to "
             f"n = {max_photon}, spectrum has {spec.dim}"
         )
+    elements = transition_matrix_elements(spec.eigenvectors, spec.n_max, 2 * max_photon + 1)
     indices = {("g", 0): 0, ("e", 0): 1}
     for n in range(max_photon):
         cand_a, cand_b = 2 * n + 2, 2 * n + 3
         g_n = indices[("g", n)]
-        elem_a, elem_b = transition_matrix_elements(spec, [(cand_a, g_n), (cand_b, g_n)])
+        elem_a, elem_b = float(elements[cand_a, g_n]), float(elements[cand_b, g_n])
         a_wins = elem_a > LABEL_ELEMENT_FLOOR and elem_a > LABEL_ELEMENT_RATIO * elem_b
         b_wins = elem_b > LABEL_ELEMENT_FLOOR and elem_b > LABEL_ELEMENT_RATIO * elem_a
         if a_wins == b_wins:

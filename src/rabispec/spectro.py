@@ -119,20 +119,15 @@ def transition_map(
     (a + a^dagger) to its negative, so the frequencies and |elements| at
     -epsilon are those at +epsilon: each distinct |epsilon| of the grid is
     solved once, and a row at -epsilon is the row of the |epsilon| solve.
-    The grid is checked in grid order first, so an error names its first
-    bad point with its sign.  The distinct |epsilon| are solved in blocks,
-    one :func:`rabi.solve_grid` call each, whose Hamiltonian stacks stay
-    within _BLOCK_BYTES, so working memory is bounded at any grid size and
-    n_max; only the output arrays grow with the grid.  Values are those of
-    :func:`rabi.solve` and :func:`rabi.transition_matrix_element` at
-    |epsilon|, bit for bit.
+    The signed grid is checked first, so an error names its first bad
+    point with its sign.  The distinct |epsilon| are solved in blocks, one
+    :func:`rabi.solve_grid` and one :func:`rabi.transition_matrix_elements`
+    call each, whose Hamiltonian stacks stay within _BLOCK_BYTES, so
+    working memory is bounded at any grid size and n_max; only the output
+    arrays grow with the grid.  Values are those of :func:`rabi.solve` and
+    :func:`rabi.transition_matrix_element` at |epsilon|, bit for bit.
     """
-    grid = np.asarray(epsilon_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("epsilon grid must be a non-empty 1-d array")
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    rabi._check_overflow(params, grid, n_max)
+    grid = rabi._check_grid(params, epsilon_grid, n_max)
     # -0.0 folds onto +0.0 and so onto the parity path
     mags, inverse = np.unique(np.abs(grid), return_inverse=True)
     lower, upper = np.array(TRANSITIONS).T
@@ -144,12 +139,8 @@ def transition_map(
     for start in range(0, mags.size, rows):
         block = slice(start, start + rows)
         w, v = rabi.solve_grid(params, mags[block], n_max)
-        # contiguous eigenvector columns of states 0..top, as a Spectrum holds them
-        states = v[:, :, : top + 1].transpose(0, 2, 1).copy()
-        applied = rabi._apply_quadrature(states[:, 1:], n_max)  # states 1..top
-        dots = np.vecdot(states[:, :, np.newaxis], applied[:, np.newaxis])  # (P, k, l - 1)
         freqs[:, block] = (w[:, upper] - w[:, lower]).T
-        elems[:, block] = np.abs(dots[:, lower, upper - 1]).T
+        elems[:, block] = rabi.transition_matrix_elements(v, n_max, top)[:, lower, upper].T
     freqs, elems = freqs[:, inverse], elems[:, inverse]
     return TransitionMap(
         frequencies=dict(zip(TRANSITIONS, freqs)), elements=dict(zip(TRANSITIONS, elems))
@@ -254,14 +245,25 @@ def fit_circuit_params(
     """Fit (delta, omega, g) to observed transition frequencies.
 
     ``observed`` is a sequence of (epsilon, (k, l), frequency) with ordinal
-    state indices; fewer than MIN_OBSERVATIONS observations, or fewer than 2
-    distinct transitions, raise IllConditionedDataError.  Bias values are
+    state indices; an observation whose states are not integers in
+    [0, 2*(n_max+1)) or whose bias or frequency is not finite raises
+    ValueError, and fewer than MIN_OBSERVATIONS observations, or fewer than
+    2 distinct transitions, raise IllConditionedDataError.  Bias values are
     held fixed; delta, omega, g are scaled to order one by the initial guess
     for conditioning.  Returns the fitted
     parameters and the RMS residual; a residual far above the measurement
     scale means the observations are inconsistent with any parameter set.
     """
-    rows = [(float(eps), (int(pair[0]), int(pair[1])), float(freq)) for eps, pair, freq in observed]
+    levels = 2 * (n_max + 1)
+    rows = []
+    for i, (eps, (k, l), freq) in enumerate(observed):
+        states_ok = all(float(s).is_integer() and 0 <= s < levels for s in (k, l))
+        if not (states_ok and np.isfinite(eps) and np.isfinite(freq)):
+            raise ValueError(
+                f"observation {i} {(eps, (k, l), freq)}: states must be integers in "
+                f"[0, {levels}) and bias and frequency finite"
+            )
+        rows.append((float(eps), (int(k), int(l)), float(freq)))
     transitions = len({pair for _, pair, _ in rows})
     if len(rows) < MIN_OBSERVATIONS or transitions < 2:
         raise IllConditionedDataError(

@@ -218,6 +218,10 @@ def test_usage_errors_exit_one(tmp_path, capsys):
         (["overlap", "--grid-stop", "1e300", "--grid-points", "3"], "--grid-stop"),
         # the default drive window is 25 x --rabi-bc wide, so no grid flag is at fault
         (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "1e300"], "--rabi-bc"),
+        # six labelled levels need n_max >= 2
+        (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02", "--nmax", "1"],
+         "--nmax"),
+        (["shift-table", "--nmax", "1"], "--nmax"),
     ):
         code, _, err = run_cli(argv, capsys)
         assert code == 1, argv
@@ -378,17 +382,17 @@ def test_hamiltonian_overflow_is_usage_error(argv):
 def test_nmax_below_one_is_usage_error(tmp_path, capsys):
     data = tmp_path / "transitions.csv"
     data.write_text("epsilon_ghz,level_from,level_to,freq_ghz\n0.0,0,1,1.2\n")
-    for argv in (
-        ["shift-table"],
-        ["spectrum", "--set", "A"],
-        ["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02"],
-        ["fit-params", "--input", str(data), "--init-delta", "1", "--init-omega", "6",
-         "--init-g", "1"],
+    for argv, floor in (
+        (["shift-table"], 2),
+        (["spectrum", "--set", "A"], 1),
+        (["twotone", "--set", "H", "--panel", "a", "--rabi-bc", "0.02"], 2),
+        (["fit-params", "--input", str(data), "--init-delta", "1", "--init-omega", "6",
+          "--init-g", "1"], 1),
     ):
         code, out, err = run_cli(argv + ["--nmax", "0"], capsys)
         assert code == 1, argv
         assert out == ""
-        assert err == "error: usage: argument --nmax: must be >= 1, got 0\n"
+        assert err == f"error: usage: argument --nmax: must be >= {floor}, got 0\n"
 
 
 def test_fit_inputs_reject_malformed_rows(tmp_path, capsys):
@@ -474,11 +478,15 @@ def test_computation_errors_exit_two(capsys):
     assert err.count("\n") == 1
 
 
-def test_shift_table_aborts_with_set_id(capsys):
-    # a 1-photon truncation cannot hold six labeled levels
-    code, _, err = run_cli(["shift-table", "--nmax", "1"], capsys)
+def test_shift_table_aborts_with_set_id(monkeypatch, capsys):
+    # a LAPACK failure on the first set is a computation error that names the set
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    code, _, err = run_cli(["shift-table"], capsys)
     assert code == 2
-    assert err.startswith("error: set A:")
+    assert err.startswith("error: set A: eigh failed")
 
 
 def test_shift_curves_contains_measured_points(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabispec import rabi, spectro
 from rabispec.errors import AmbiguousLabelError, ConvergenceError, HamiltonianOverflowError
@@ -107,6 +109,8 @@ def test_solve_rejects_overflowing_entries(epsilon):
         p = rabi.CircuitParams(delta=delta, omega=omega, g=g, epsilon=epsilon)
         with pytest.raises(HamiltonianOverflowError, match="overflow a float"):
             rabi.solve(p, n_max)
+        with pytest.raises(HamiltonianOverflowError, match="overflow a float"):
+            rabi.build_hamiltonian(p, n_max)
         with pytest.raises(HamiltonianOverflowError, match=f"epsilon={epsilon},"):
             rabi.solve_grid(p, [epsilon, 1.0], n_max)
     # a huge but representable circuit still goes to LAPACK
@@ -217,12 +221,40 @@ def test_lapack_failure_is_convergence_error(monkeypatch):
         rabi.eigendecompose(np.eye(3))
 
 
-def test_eigenvector_columns_contiguous():
-    # contiguous columns keep the dot products of matrix elements in one
-    # summation order on both solver paths
-    for epsilon in (0.0, 0.3):
-        p = rabi.CircuitParams(delta=1.68, omega=6.345, g=7.27, epsilon=epsilon)
-        assert rabi.solve(p, 12).eigenvectors.flags.f_contiguous
+_biases = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-5.0, 5.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    delta=st.floats(0.0, 8.0),
+    omega=st.floats(0.5, 8.0),
+    g=st.floats(0.0, 8.0),
+    epsilons=st.lists(_biases, min_size=1, max_size=4),
+    n_max=st.integers(1, 12),
+    top=st.integers(0, 7),
+)
+def test_transition_matrix_elements_is_the_reference_bit_for_bit(
+    delta, omega, g, epsilons, n_max, top
+):
+    # the kernel copies the columns it reads, so no memory layout of the
+    # eigenvectors changes a bit of an element
+    p = rabi.CircuitParams(delta=delta, omega=omega, g=g)
+    w, stack = rabi.solve_grid(p, epsilons, n_max)
+    dim = 2 * (n_max + 1)
+    top = min(top, dim - 1)
+    stacked = rabi.transition_matrix_elements(stack, n_max, top)
+    assert stacked.shape == (len(epsilons), top + 1, top + 1)
+    for values, v, row in zip(w, stack, stacked):
+        spec = rabi.Spectrum(eigenvalues=values, eigenvectors=v, n_max=n_max)
+        states = range(top + 1)
+        reference = np.array([[rabi.transition_matrix_element(spec, k, l) for l in states]
+                              for k in states])
+        padded = np.zeros((2 * dim, 3 * dim))
+        padded[::2, ::3] = v
+        assert row.tobytes() == reference.tobytes()
+        for layout in (np.ascontiguousarray(v), np.asfortranarray(v), padded[::2, ::3]):
+            elements = rabi.transition_matrix_elements(layout, n_max, top)
+            assert elements.tobytes() == reference.tobytes()
 
 
 def test_blocked_and_dense_paths_agree():

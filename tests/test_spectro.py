@@ -219,6 +219,14 @@ def test_fit_circuit_params_validates_observations():
         spectro.fit_circuit_params([(0.0, (0, 1), 5.0)] * 5, init, 12)
     with pytest.raises(IllConditionedDataError):
         spectro.fit_circuit_params([(0.0, (0, 1), 5.0)] * 6, init, 12)
+    # states outside [0, 26) at n_max 12, a fractional state, a non-finite bias
+    # or frequency: refused before the fit, naming the observation
+    good = [(0.0, (0, 1), 1.0), (0.5, (0, 2), 6.0)] * 3
+    for bad in [(0.3, (-1, 2), 6.0), (0.3, (0, 26), 6.0), (0.3, (0, 1.5), 6.0),
+                (math.nan, (0, 1), 1.0), (0.3, (0, 1), math.inf), (0.3, (0, 1), math.nan)]:
+        with pytest.raises(ValueError, match=r"observation 6 .*integers in \[0, 26\)") as excinfo:
+            spectro.fit_circuit_params(good + [bad], init, 12)
+        assert not isinstance(excinfo.value, IllConditionedDataError)
 
 
 def test_transition_map_bare_qubit():
@@ -380,13 +388,17 @@ def test_transition_map_refuses_the_first_bad_point():
 
 
 def test_transition_matrix_elements_checks_states(solved_sets):
-    _, spec, _ = solved_sets["A"]
-    pairs = [(0, 3), (5, 2), (1, 1)]
-    assert rabi.transition_matrix_elements(spec, pairs) == [
-        rabi.transition_matrix_element(spec, k, l) for k, l in pairs
-    ]
+    ref, spec, _ = solved_sets["A"]
+    elements = rabi.transition_matrix_elements(spec.eigenvectors, spec.n_max, 5)
+    assert elements[0, 3] == rabi.transition_matrix_element(spec, 0, 3)
+    assert elements[5, 2] == rabi.transition_matrix_element(spec, 5, 2)
     with pytest.raises(IndexError):
-        rabi.transition_matrix_elements(spec, [(0, 1), (0, spec.dim)])
+        rabi.transition_matrix_elements(spec.eigenvectors, spec.n_max, spec.dim)
+    with pytest.raises(IndexError):
+        rabi.transition_matrix_element(spec, 0, spec.dim)
+    # a generic spectrum has no Fock truncation to apply the quadrature on
     bare = rabi.Spectrum(spec.eigenvalues, spec.eigenvectors)
-    with pytest.raises(ValueError):
-        rabi.transition_matrix_elements(bare, [(0, 1)])
+    with pytest.raises(ValueError, match="no truncation size"):
+        rabi.transition_matrix_elements(bare.eigenvectors, bare.n_max, 1)
+    with pytest.raises(ValueError, match="no truncation size"):
+        rabi.assign_labels(bare, ref.params)
